@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class DuplicatePointError(ValueError):
-    """Two samples coincide in joint space, so a k-NN radius is exactly zero.
+    """k + 1 or more samples coincide in joint space, so a k-NN radius is zero.
 
     Duplicates would later produce ln(0); we fail fast instead of jittering
     the data, which would silently perturb the estimate.
@@ -27,4 +27,19 @@ class NonFiniteNormalizationError(ValueError):
         super().__init__(
             f"ln V is not finite ({result.ln_v!r}) for backend "
             f"{result.backend.value!r} at joint dimension {result.d_joint}"
+        )
+
+
+class RadiusOverflowError(ValueError):
+    """A sample's k-NN radius overflows float64, so no finite estimate exists.
+
+    Max-norm distances are coordinate differences; for finite data beyond
+    about 9e307 in magnitude they can exceed the largest float64.
+    """
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(
+            f"sample {index}: max-norm coordinate differences overflowed float64 "
+            f"(k-NN radius is inf)"
         )

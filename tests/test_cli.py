@@ -64,6 +64,13 @@ def test_estimate_duplicate_points_is_config_error(tmp_path):
     assert run_cli("estimate", "--data", str(path), "--k", "1") == 1
 
 
+def test_estimate_overflowing_radius_is_named(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("x_1,y_1\n-1e308,0.0\n1e308,1.0\n")
+    assert run_cli("estimate", "--data", str(path), "--k", "1") == 1
+    assert "overflowed float64" in capsys.readouterr().err
+
+
 def test_estimate_missing_file_is_io_error(tmp_path):
     assert run_cli("estimate", "--data", str(tmp_path / "nope.csv")) == 2
 

@@ -1,10 +1,14 @@
 """k-NN radius and marginal-count tests, checked against a naive all-pairs oracle."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from knnmi import neighbors
 from knnmi.dataset import Dataset
-from knnmi.errors import ConfigurationError, DuplicatePointError
+from knnmi.errors import ConfigurationError, DuplicatePointError, RadiusOverflowError
 from knnmi.neighbors import compute_knn_radii
 
 
@@ -28,6 +32,20 @@ def naive_radii(data: Dataset, k: int):
 
 def random_dataset(rng, n, d_x, d_y):
     return Dataset(rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y)))
+
+
+def pin_scan(monkeypatch, n, rows, workers):
+    """Make the scan use query blocks of `rows` rows (or the 8-row floor) and
+    up to `workers` threads."""
+    monkeypatch.setattr(neighbors, "_SCRATCH_ELEMS", rows * n)
+    monkeypatch.setattr(neighbors, "_cpu_count", lambda: workers)
+
+
+def assert_matches_oracle(rs, data, k, err_msg=""):
+    eps, n_x, n_y = naive_radii(data, k)
+    np.testing.assert_array_equal(rs.epsilon, eps, err_msg=err_msg)
+    np.testing.assert_array_equal(rs.n_x, n_x, err_msg=err_msg)
+    np.testing.assert_array_equal(rs.n_y, n_y, err_msg=err_msg)
 
 
 def test_pure_x_line_fixture():
@@ -64,14 +82,64 @@ def test_k_equals_n_minus_1_is_farthest():
     "n, d_x, d_y, k",
     [(30, 1, 1, 1), (100, 2, 2, 5), (200, 3, 1, 4), (64, 1, 0, 3), (50, 7, 5, 10)],
 )
-def test_matches_naive_oracle_exactly(n, d_x, d_y, k):
+def test_matches_naive_oracle_exactly(n, d_x, d_y, k, monkeypatch):
+    # blocks of the 8-row floor, of 13 rows (an uneven last block for every
+    # n here) and of the whole sample, each with 1, 2 and 3 threads
     rng = np.random.default_rng(n * 1000 + k)
     data = random_dataset(rng, n, d_x, d_y)
+    for rows in (8, 13, n):
+        for workers in (1, 2, 3):
+            with monkeypatch.context() as m:
+                pin_scan(m, n, rows, workers)
+                rs = compute_knn_radii(data, k)
+                assert_matches_oracle(rs, data, k, f"rows={rows} workers={workers}")
+
+
+def test_more_threads_than_cores_lose_no_block(monkeypatch):
+    # 50 blocks over 8 threads with a 1 us switch interval: a block lost or
+    # written twice by the shared block queue would leave a wrong radius
+    rng = np.random.default_rng(37)
+    data = random_dataset(rng, 400, 2, 1)
+    pin_scan(monkeypatch, 400, 8, 8)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scan = threading.Thread(target=lambda: result.append(compute_knn_radii(data, 3)))
+        scan.start()
+        scan.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not scan.is_alive() and len(result) == 1
+    assert_matches_oracle(result[0], data, 3)
+
+
+@pytest.mark.parametrize("name", ["grid", "coincident_below_k", "empty_y", "subnormal", "huge"])
+def test_adversarial_inputs_match_oracle(name, monkeypatch):
+    rng = np.random.default_rng(23)
+    if name == "grid":
+        # all 64 points of an integer 4x4x4 grid: every radius is tied
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
+        grid = grid[rng.permutation(64)]
+        data, k = Dataset(grid[:, :2], grid[:, 2:]), 5
+    elif name == "coincident_below_k":
+        # rows 3, 20 and 45 (three different blocks) coincide: each has two
+        # coincident others, fewer than k = 4, so every radius is positive
+        x, y = rng.normal(size=(60, 2)), rng.normal(size=(60, 1))
+        x[[20, 45]], y[[20, 45]] = x[3], y[3]
+        data, k = Dataset(x, y), 4
+    elif name == "empty_y":
+        data, k = Dataset(rng.normal(size=(50, 3)), np.zeros((50, 0))), 3
+    elif name == "subnormal":
+        # spreads below the smallest normal float64 (2.2e-308)
+        data, k = Dataset(rng.normal(size=(40, 2)) * 1e-310, rng.normal(size=(40, 1)) * 1e-312), 3
+    else:
+        # magnitudes near 1e308: many differences overflow to inf, no radius does
+        data, k = Dataset(rng.uniform(-1, 1, (40, 1)) * 1e308, rng.normal(size=(40, 1))), 2
+    pin_scan(monkeypatch, data.n, 8, 2)
     rs = compute_knn_radii(data, k)
-    eps, n_x, n_y = naive_radii(data, k)
-    np.testing.assert_array_equal(rs.epsilon, eps)
-    np.testing.assert_array_equal(rs.n_x, n_x)
-    np.testing.assert_array_equal(rs.n_y, n_y)
+    with np.errstate(over="ignore"):
+        assert_matches_oracle(rs, data, k)
 
 
 def test_marginal_counts_at_least_k_minus_1():
@@ -127,6 +195,32 @@ def test_duplicate_points_rejected():
     with pytest.raises(DuplicatePointError) as exc:
         compute_knn_radii(Dataset(x, y), k=1)
     assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_duplicate_in_row_order_is_reported(workers, monkeypatch):
+    # duplicate pairs (12, 35) and (20, 27) lie in four different 8-row blocks
+    rng = np.random.default_rng(29)
+    x, y = rng.normal(size=(48, 2)), rng.normal(size=(48, 2))
+    x[35], y[35] = x[12], y[12]
+    x[27], y[27] = x[20], y[20]
+    pin_scan(monkeypatch, 48, 8, workers)
+    with pytest.raises(DuplicatePointError) as exc:
+        compute_knn_radii(Dataset(x, y), k=1)
+    assert exc.value.index == 12
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflowing_radius_is_a_typed_error(workers, monkeypatch):
+    # every point lies in [-1e308, -0.5e308]^2 except row 9 (x = 1.7e308) and
+    # row 30 (y = 1.7e308): only their distances to all others overflow
+    rng = np.random.default_rng(31)
+    x, y = -rng.uniform(0.5, 1.0, (40, 1)) * 1e308, -rng.uniform(0.5, 1.0, (40, 1)) * 1e308
+    x[9], y[30] = 1.7e308, 1.7e308
+    pin_scan(monkeypatch, 40, 8, workers)
+    with pytest.raises(RadiusOverflowError, match="overflowed float64") as exc:
+        compute_knn_radii(Dataset(x, y), k=1)
+    assert exc.value.index == 9
 
 
 def test_duplicates_tolerated_when_k_exceeds_multiplicity():
