@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmi.dataset import Dataset
 from knnmi.errors import NonFiniteNormalizationError
@@ -25,6 +27,21 @@ def gaussian_pair(n, d, rho, seed):
     z1 = g.standard_normal((n, d))
     z2 = g.standard_normal((n, d))
     return Dataset(z1, rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
+
+
+@st.composite
+def radius_sets(draw):
+    """RadiusSet with radii anywhere in 1e-307..1e307 and any legal counts."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, n - 1))
+    samples = st.lists(st.floats(1e-307, 1e307), min_size=n, max_size=n)
+    counts = st.lists(st.integers(k - 1, n - 1), min_size=n, max_size=n)
+    return RadiusSet(
+        epsilon=np.array(draw(samples)),
+        n_x=np.array(draw(counts), dtype=np.int64),
+        n_y=np.array(draw(counts), dtype=np.int64),
+        k=k,
+    )
 
 
 def synthetic_radii(n, k, count):
@@ -153,6 +170,21 @@ class TestReportAssembly:
             estimate_from_radii(radii, 256, 256, Backend.BASELINE)
         rp = estimate_from_radii(radii, 256, 256, Backend.PROPOSED)
         assert math.isfinite(rp.h_xy)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(radii=radius_sets(), d_joint=st.integers(1, 2**20), data=st.data())
+    def test_finite_ln_v_gives_finite_estimates(self, radii, d_joint, data):
+        # a backend either raises or yields finite entropies and MI: nothing
+        # in the assembly can overflow once ln V is finite
+        d_x = data.draw(st.integers(0, d_joint))
+        for backend in Backend:
+            try:
+                r = estimate_from_radii(radii, d_x, d_joint - d_x, backend)
+            except NonFiniteNormalizationError:
+                continue
+            for value in (r.mi_ksg, r.h_x, r.h_y, r.h_xy, r.mi_from_entropies):
+                assert math.isfinite(value)
+            assert r.nmi is None or math.isfinite(r.nmi)
 
     def test_report_metadata(self):
         r = estimate(gaussian_pair(300, 1, 0.2, 1), k=7, backend=Backend.DOMINANT_TERM)
