@@ -20,10 +20,7 @@ from .estimators import (
     EstimateReport,
     estimate,
     estimate_from_radii,
-    ksg_mi,
     nmi,
-    relative_entropy_joint,
-    relative_entropy_marginal,
 )
 from .harness import (
     ExperimentConfig,
@@ -72,10 +69,7 @@ __all__ = [
     "EstimateReport",
     "estimate",
     "estimate_from_radii",
-    "ksg_mi",
     "nmi",
-    "relative_entropy_joint",
-    "relative_entropy_marginal",
     "ExperimentConfig",
     "RunRecord",
     "Status",

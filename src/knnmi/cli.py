@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 internal error.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .datagen import (
@@ -24,7 +25,6 @@ from .harness import (
     STUDENT_T,
     ExperimentConfig,
     Status,
-    parse_backend,
     read_records_csv,
     run_sweep,
     stability_profile,
@@ -34,6 +34,7 @@ from .harness import (
     write_stability_csv,
     write_summary_csv,
 )
+from .scaling import Backend
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,20 +70,24 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="run an experiment sweep from a JSON config")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--config", required=True, help="JSON file mirroring ExperimentConfig fields")
     p.add_argument("--out", required=True, help="records CSV output path")
     p.add_argument("--jsonl", default=None, help="optional JSON-lines mirror")
 
     p = sub.add_parser("summarize", help="aggregate a records CSV into per-cell stats")
+    p.set_defaults(run=_cmd_summarize)
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("stability", help="ln V of all backends over a dimension sweep")
+    p.set_defaults(run=_cmd_stability)
     p.add_argument("--epsilon", required=True, help="comma-separated radii, e.g. 1,2")
     p.add_argument("--dims", required=True, help="comma-separated dims; int ranges as start:stop:step")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gen", help="emit a synthetic dataset to CSV")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--family", required=True, choices=[GAUSSIAN, STUDENT_T])
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--rho", type=float, default=None)
@@ -92,6 +97,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate", help="one-shot estimation of a CSV dataset")
+    p.set_defaults(run=_cmd_estimate)
     p.add_argument("--data", required=True)
     p.add_argument("--dx", type=int, default=None)
     p.add_argument("--dy", type=int, default=None)
@@ -144,7 +150,7 @@ def _cmd_gen(args) -> None:
 
 def _cmd_estimate(args) -> None:
     data = dataset_from_csv(args.data, d_x=args.dx, d_y=args.dy)
-    backend = parse_backend(args.backend)
+    backend = Backend(args.backend)
     try:
         report = estimate(data, k=args.k, backend=backend)
     except NonFiniteNormalizationError:
@@ -156,35 +162,15 @@ def _cmd_estimate(args) -> None:
         }
     else:
         status = Status.OK if report.nmi is not None else Status.UNDEFINED_NMI
-        payload = {
-            "status": status.value,
-            "mi_ksg": report.mi_ksg,
-            "h_x": report.h_x,
-            "h_y": report.h_y,
-            "h_xy": report.h_xy,
-            "mi_from_entropies": report.mi_from_entropies,
-            "nmi": report.nmi,
-            "backend": report.backend.value,
-            "n_samples": report.n_samples,
-            "k": report.k,
-        }
+        payload = {"status": status.value, **asdict(report), "backend": report.backend.value}
     print(json.dumps(payload))
-
-
-_COMMANDS = {
-    "sweep": _cmd_sweep,
-    "summarize": _cmd_summarize,
-    "stability": _cmd_stability,
-    "gen": _cmd_gen,
-    "estimate": _cmd_estimate,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _COMMANDS[args.command](args)
-    except (ConfigurationError, ValueError) as exc:
+        args.run(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -50,13 +50,12 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class StudentTSpec:
-    """Multivariate Student-t pairs via a shared chi-square scale mixture."""
+    """Multivariate Student-t pairs, identity dispersion, via a shared chi-square scale mixture."""
 
     d: int
     nu: float
     n: int
     seed: int
-    omega: str = "identity"  # only identity dispersion is supported
 
     def __post_init__(self):
         if self.d < 1:
@@ -65,8 +64,6 @@ class StudentTSpec:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if not (self.nu > 0.0 and math.isfinite(self.nu)):
             raise ConfigurationError(f"nu must be positive, got {self.nu}")
-        if self.omega != "identity":
-            raise ConfigurationError("only the identity dispersion matrix is supported")
 
 
 def _generator(seed: int) -> np.random.Generator:

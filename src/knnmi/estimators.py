@@ -26,13 +26,13 @@ never clamped to [0, 1].
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
 from .dataset import Dataset
 from .neighbors import RadiusSet, compute_knn_radii
-from .scaling import Backend, ScaledRadii, normalize, scale_radii
+from .scaling import Backend, normalize, scale_radii
 from .special import digamma
 
 
@@ -49,37 +49,6 @@ class EstimateReport:
     backend: Backend
     n_samples: int
     k: int
-
-
-def ksg_mi(radii: RadiusSet, n_samples: int, k: int) -> float:
-    """KSG (algorithm 1) mutual information estimate in nats."""
-    counts_term = digamma(radii.n_x + 1.0) + digamma(radii.n_y + 1.0)
-    return digamma(float(n_samples)) + digamma(float(k)) - float(np.mean(counts_term))
-
-
-def relative_entropy_marginal(
-    radii: RadiusSet, scaled: ScaledRadii, d: int, which: Literal["x", "y"]
-) -> float:
-    """Marginal relative entropy from joint-ball counts and scaled radii."""
-    counts = radii.n_x if which == "x" else radii.n_y
-    n = radii.n
-    return (
-        -float(np.mean(digamma(counts + 1.0)))
-        + digamma(float(n))
-        + d * scaled.mean_ln_epsilon_tilde
-    )
-
-
-def relative_entropy_joint(
-    radii: RadiusSet, scaled: ScaledRadii, d_x: int, d_y: int, k: int
-) -> float:
-    """Joint relative entropy from the k-th neighbor statistics."""
-    n = radii.n
-    return (
-        -digamma(float(k))
-        + digamma(float(n))
-        + (d_x + d_y) * scaled.mean_ln_epsilon_tilde
-    )
 
 
 def nmi(mi: float, h_x: float, h_y: float) -> Optional[float]:
@@ -106,15 +75,20 @@ def estimate_from_radii(
     (the baseline's overflow mode).
     """
     norm = normalize(radii.epsilon, d_x + d_y, backend)
-    scaled = scale_radii(radii.epsilon, norm)
+    mean_ln = scale_radii(radii.epsilon, norm).mean_ln_epsilon_tilde
 
-    h_x = relative_entropy_marginal(radii, scaled, d_x, "x")
-    h_y = relative_entropy_marginal(radii, scaled, d_y, "y")
-    h_xy = relative_entropy_joint(radii, scaled, d_x, d_y, radii.k)
+    psi_n = digamma(float(radii.n))
+    psi_k = digamma(float(radii.k))
+    psi_x = digamma(radii.n_x + 1.0)
+    psi_y = digamma(radii.n_y + 1.0)
+
+    h_x = -float(np.mean(psi_x)) + psi_n + d_x * mean_ln
+    h_y = -float(np.mean(psi_y)) + psi_n + d_y * mean_ln
+    h_xy = -psi_k + psi_n + (d_x + d_y) * mean_ln
     mi_entropies = h_x + h_y - h_xy
 
     return EstimateReport(
-        mi_ksg=ksg_mi(radii, radii.n, radii.k),
+        mi_ksg=psi_n + psi_k - float(np.mean(psi_x + psi_y)),
         h_x=h_x,
         h_y=h_y,
         h_xy=h_xy,

@@ -29,7 +29,7 @@ from .dataset import dataset_checksum
 from .errors import ConfigurationError, DuplicatePointError, NonFiniteNormalizationError
 from .estimators import estimate_from_radii
 from .neighbors import compute_knn_radii
-from .scaling import Backend, ln_v_baseline, ln_v_dominant, ln_v_proposed
+from .scaling import Backend, normalize
 from .truth import gaussian_truth, student_t_truth
 
 GAUSSIAN = "gaussian"
@@ -50,26 +50,6 @@ class Status(str, Enum):
     OVERFLOW = "overflow"
     UNDEFINED_NMI = "undefined_nmi"
     DUPLICATE_POINTS = "duplicate_points"
-
-
-_BACKEND_ALIASES = {
-    "baseline": Backend.BASELINE,
-    "proposed": Backend.PROPOSED,
-    "dominant": Backend.DOMINANT_TERM,
-    "dominantterm": Backend.DOMINANT_TERM,
-    "dominant_term": Backend.DOMINANT_TERM,
-}
-
-
-def parse_backend(name) -> Backend:
-    if isinstance(name, Backend):
-        return name
-    key = str(name).strip().lower()
-    if key not in _BACKEND_ALIASES:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; expected one of baseline/proposed/dominant"
-        )
-    return _BACKEND_ALIASES[key]
 
 
 @dataclass
@@ -93,9 +73,9 @@ class ExperimentConfig:
             self.dims = list(
                 DEFAULT_GAUSSIAN_DIMS if self.family == GAUSSIAN else DEFAULT_STUDENT_T_DIMS
             )
-        self.dims = [int(d) for d in self.dims]
-        if not self.dims or any(d < 1 for d in self.dims):
+        if not self.dims or any(isinstance(d, bool) or int(d) < 1 for d in self.dims):
             raise ConfigurationError("dims must be a non-empty list of positive integers")
+        self.dims = [int(d) for d in self.dims]
         if self.family == GAUSSIAN:
             if self.rho_grid is None:
                 self.rho_grid = list(DEFAULT_RHO_GRID)
@@ -110,12 +90,14 @@ class ExperimentConfig:
                 raise ConfigurationError("nu_grid values must be positive")
         for name, low in (("n", 2), ("k", 1), ("repetitions", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.k >= self.n:
             raise ConfigurationError(f"k = {self.k} must be smaller than n = {self.n}")
+        if isinstance(self.base_seed, bool):
+            raise ConfigurationError(f"base_seed must be an integer, got {self.base_seed!r}")
         self.base_seed = int(self.base_seed)
-        backends = [parse_backend(b) for b in self.backends]
+        backends = [Backend(b) for b in self.backends]
         if not backends:
             raise ConfigurationError("backends must not be empty")
         self.backends = backends
@@ -229,11 +211,7 @@ def run_sweep(config: ExperimentConfig) -> list:
                             status = Status.OVERFLOW
                         else:
                             values = {name: getattr(report, name) for name in _ESTIMATE_FIELDS}
-                            numeric = [v for k, v in values.items() if k != "nmi"]
-                            if not all(np.isfinite(numeric)):
-                                status = Status.OVERFLOW
-                                values = dict.fromkeys(_ESTIMATE_FIELDS)
-                            elif values["nmi"] is None:
+                            if report.nmi is None:
                                 status = Status.UNDEFINED_NMI
                             else:
                                 status = Status.OK
@@ -246,7 +224,7 @@ def run_sweep(config: ExperimentConfig) -> list:
                             param=param,
                             param_gen=param_gen,
                             repetition=rep,
-                            backend=Backend(backend).value,
+                            backend=backend.value,
                             status=status.value,
                             nmi_true=nmi_true,
                             dataset_checksum=checksum,
@@ -317,12 +295,6 @@ class StabilityRow:
 
 STABILITY_COLUMNS = [f.name for f in fields(StabilityRow)]
 
-_STABILITY_BACKENDS = (
-    (Backend.BASELINE, ln_v_baseline),
-    (Backend.PROPOSED, ln_v_proposed),
-    (Backend.DOMINANT_TERM, ln_v_dominant),
-)
-
 
 def stability_profile(epsilon, dims) -> list:
     """Evaluate all three ln V backends over a dimension sweep of fixed radii."""
@@ -331,8 +303,8 @@ def stability_profile(epsilon, dims) -> list:
         raise ConfigurationError("dims must be a non-empty list of positive integers")
     rows = []
     for d in dims:
-        for backend, fn in _STABILITY_BACKENDS:
-            result = fn(epsilon, d)
+        for backend in Backend:
+            result = normalize(epsilon, d, backend)
             rows.append(
                 StabilityRow(
                     d_joint=d, backend=backend.value, ln_v=result.ln_v, finite=result.finite
@@ -380,17 +352,9 @@ def write_records_jsonl(records, path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
+# str and int columns parse as declared; float and Optional[float] as float
 _RECORD_PARSERS = {
-    "family": str,
-    "d": int,
-    "param_name": str,
-    "param": float,
-    "param_gen": float,
-    "repetition": int,
-    "backend": str,
-    "status": str,
-    "dataset_checksum": str,
-    "wall_time_ms": float,
+    f.name: f.type if f.type in (str, int) else float for f in fields(RunRecord)
 }
 
 
@@ -410,7 +374,7 @@ def read_records_csv(path) -> list:
                 raise ConfigurationError(f"{path}: row {line_no} has {len(parts)} fields")
             kwargs = {}
             for name, text in zip(RECORD_COLUMNS, parts):
-                parser = _RECORD_PARSERS.get(name, float)
+                parser = _RECORD_PARSERS[name]
                 kwargs[name] = None if text == "" else parser(text)
             records.append(RunRecord(**kwargs))
     return records

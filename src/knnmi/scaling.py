@@ -31,11 +31,24 @@ from .errors import ConfigurationError, NonFiniteNormalizationError
 
 
 class Backend(str, enum.Enum):
-    """Which ln V computation produced a normalization result."""
+    """Which ln V computation produced a normalization result.
+
+    Names parse in any case and with surrounding blanks: Backend(" Baseline ").
+    """
 
     BASELINE = "baseline"
     PROPOSED = "proposed"
     DOMINANT_TERM = "dominant"
+
+    @classmethod
+    def _missing_(cls, value):
+        key = str(value).strip().lower()
+        for member in cls:
+            if member.value == key:
+                return member
+        raise ConfigurationError(
+            f"unknown backend {value!r}; expected one of baseline/proposed/dominant"
+        )
 
 
 @dataclass(frozen=True)

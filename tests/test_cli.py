@@ -145,7 +145,7 @@ def test_internal_error_exit_code(monkeypatch, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "gaussian", "base_seed": 1, "dims": [1],
                                "rho_grid": [0.0], "n": 20, "k": 2, "repetitions": 1}))
-    monkeypatch.setitem(cli._COMMANDS, "sweep", lambda args: (_ for _ in ()).throw(RuntimeError("boom")))
+    monkeypatch.setattr(cli, "_cmd_sweep", lambda args: (_ for _ in ()).throw(RuntimeError("boom")))
     assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 3
 
 

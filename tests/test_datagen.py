@@ -79,8 +79,6 @@ class TestStudentT:
             StudentTSpec(d=1, nu=0.0, n=10, seed=0)
         with pytest.raises(ConfigurationError):
             StudentTSpec(d=1, nu=-2.0, n=10, seed=0)
-        with pytest.raises(ConfigurationError):
-            StudentTSpec(d=1, nu=1.0, n=10, seed=0, omega="full")
 
 
 class TestCsvInterchange:

@@ -12,13 +12,10 @@ from knnmi.errors import NonFiniteNormalizationError
 from knnmi.estimators import (
     estimate,
     estimate_from_radii,
-    ksg_mi,
     nmi,
-    relative_entropy_joint,
-    relative_entropy_marginal,
 )
 from knnmi.neighbors import RadiusSet, compute_knn_radii
-from knnmi.scaling import Backend, ln_v_proposed, scale_radii
+from knnmi.scaling import Backend
 from knnmi.special import digamma
 
 
@@ -59,9 +56,10 @@ class TestKsgFormula:
         # all n_x = n_y = k: psi(N) + psi(k) - 2 psi(k+1)
         rs = synthetic_radii(1000, 5, count=5)
         expected = digamma(1000.0) + digamma(5.0) - 2.0 * digamma(6.0)
-        assert ksg_mi(rs, 1000, 5) == pytest.approx(expected, abs=1e-13)
+        mi = estimate_from_radii(rs, 1, 1, Backend.PROPOSED).mi_ksg
+        assert mi == pytest.approx(expected, abs=1e-13)
         # frozen 50-digit oracle value for psi(1000) + psi(5) - 2 psi(6)
-        assert ksg_mi(rs, 1000, 5) == pytest.approx(5.001137527217012, abs=1e-12)
+        assert mi == pytest.approx(5.001137527217012, abs=1e-12)
 
     def test_identical_variables_reach_maximal_estimate(self):
         # X = Y: the k-th joint neighbor is excluded by strict counting, so
@@ -73,7 +71,7 @@ class TestKsgFormula:
         rs = compute_knn_radii(data, 5)
         np.testing.assert_array_equal(rs.n_x, 4)
         np.testing.assert_array_equal(rs.n_y, 4)
-        assert ksg_mi(rs, 400, 5) == pytest.approx(
+        assert estimate_from_radii(rs, 1, 1, Backend.PROPOSED).mi_ksg == pytest.approx(
             digamma(400.0) - digamma(5.0), abs=1e-12
         )
 
@@ -82,14 +80,15 @@ class TestRelativeEntropies:
     def test_tight_cluster_fixture_vanishes(self):
         # all n_x = N - 1 and all scaled radii 1: -psi(N) + psi(N) + 0 = 0
         rs = synthetic_radii(50, 1, count=49)
-        scaled = scale_radii(np.full(50, 0.5), ln_v_proposed(np.full(50, 0.5), 2))
-        assert relative_entropy_marginal(rs, scaled, 1, "x") == pytest.approx(0.0, abs=1e-12)
+        h_x = estimate_from_radii(rs, 1, 1, Backend.PROPOSED).h_x
+        assert h_x == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_scaled_radii_joint_value(self):
+        # equal radii scale to 1, so only the digamma terms remain
         rs = synthetic_radii(10000, 5, count=5)
-        scaled = scale_radii(np.full(10000, 2.0), ln_v_proposed(np.full(10000, 2.0), 2))
         expected = digamma(10000.0) - digamma(5.0)
-        assert relative_entropy_joint(rs, scaled, 1, 1, 5) == pytest.approx(expected, abs=1e-11)
+        h_xy = estimate_from_radii(rs, 1, 1, Backend.PROPOSED).h_xy
+        assert h_xy == pytest.approx(expected, abs=1e-11)
 
     def test_seed_stability_of_marginal_entropy(self):
         # same configuration, different seeds: values agree within the

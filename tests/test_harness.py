@@ -20,7 +20,6 @@ from knnmi.harness import (
     RunRecord,
     Status,
     derive_seed,
-    parse_backend,
     read_records_csv,
     run_sweep,
     stability_profile,
@@ -88,6 +87,10 @@ class TestConfig:
         dict(backends=[]),
         dict(backends=["fancy"]),
         dict(n=10, k=10),
+        dict(k=True),
+        dict(repetitions=True),
+        dict(base_seed=True),
+        dict(dims=[True]),
     ])
     def test_validation(self, bad):
         kwargs = dict(family="gaussian", base_seed=1)
@@ -100,9 +103,12 @@ class TestConfig:
             ExperimentConfig(family="student_t", base_seed=1, nu_grid=[0.0])
 
     def test_backend_aliases(self):
-        assert parse_backend("Baseline") is Backend.BASELINE
-        assert parse_backend("DominantTerm") is Backend.DOMINANT_TERM
-        assert parse_backend(Backend.PROPOSED) is Backend.PROPOSED
+        assert Backend(" Baseline ") is Backend.BASELINE
+        assert Backend("DOMINANT") is Backend.DOMINANT_TERM
+        assert Backend(Backend.PROPOSED) is Backend.PROPOSED
+        for retired in ("DominantTerm", "dominant_term"):
+            with pytest.raises(ConfigurationError):
+                Backend(retired)
 
 
 class TestSeedDerivation:
