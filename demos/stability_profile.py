@@ -13,7 +13,7 @@ ln(eps_max) at a rate bounded by ln(N)/D.
 
 import math
 
-from knnmi import ln_v_baseline, ln_v_dominant, ln_v_proposed
+from knnmi import Backend, normalize
 
 EPSILON = [1.0, 2.0]
 
@@ -21,9 +21,9 @@ print(f"radii = {EPSILON}, ln(eps_max) = {math.log(2.0):.6f}")
 print(f"{'D':>8} {'baseline':>12} {'proposed':>12} {'dominant':>12} {'|prop-dom|':>12}")
 
 for d in [2, 4, 8, 16, 64, 256, 512, 1000, 1022, 1024, 2048, 4096, 10**6]:
-    baseline = ln_v_baseline(EPSILON, d)
-    proposed = ln_v_proposed(EPSILON, d)
-    dominant = ln_v_dominant(EPSILON, d)
+    baseline = normalize(EPSILON, d, Backend.BASELINE)
+    proposed = normalize(EPSILON, d, Backend.PROPOSED)
+    dominant = normalize(EPSILON, d, Backend.DOMINANT_TERM)
     base_text = f"{baseline.ln_v:12.6f}" if baseline.finite else "    overflow"
     gap = abs(proposed.ln_v - dominant.ln_v)
     print(f"{d:>8} {base_text} {proposed.ln_v:12.6f} {dominant.ln_v:12.6f} {gap:12.3e}")

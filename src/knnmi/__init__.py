@@ -39,16 +39,7 @@ from .harness import (
     write_summary_csv,
 )
 from .neighbors import RadiusSet, compute_knn_radii
-from .scaling import (
-    Backend,
-    NormalizationResult,
-    ScaledRadii,
-    ln_v_baseline,
-    ln_v_dominant,
-    ln_v_proposed,
-    normalize,
-    scale_radii,
-)
+from .scaling import Backend, NormalizationResult, normalize
 from .special import digamma, ln_gamma
 from .truth import TruthRecord, c_term, f_aux, gaussian_truth, student_t_truth
 
@@ -88,12 +79,7 @@ __all__ = [
     "compute_knn_radii",
     "Backend",
     "NormalizationResult",
-    "ScaledRadii",
-    "ln_v_baseline",
-    "ln_v_dominant",
-    "ln_v_proposed",
     "normalize",
-    "scale_radii",
     "digamma",
     "ln_gamma",
     "TruthRecord",

@@ -1,6 +1,7 @@
 """KSG mutual information, relative entropies, and normalized MI.
 
-Everything here is assembly over a RadiusSet and ScaledRadii:
+Everything here is assembly over a RadiusSet and the ln V of its radii,
+with ln eps_tilde_i = ln eps_i - ln V the log of the scaled radius:
 
     mi_ksg   = psi(N) + psi(k) - < psi(n_x + 1) + psi(n_y + 1) >
     h_x      = -< psi(n_x + 1) > + psi(N) + d_x < ln eps_tilde >
@@ -31,8 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
+from .errors import NonFiniteNormalizationError
 from .neighbors import RadiusSet, compute_knn_radii
-from .scaling import Backend, normalize, scale_radii
+from .scaling import Backend, _sum_left_to_right, normalize
 from .special import digamma
 
 
@@ -75,7 +77,9 @@ def estimate_from_radii(
     (the baseline's overflow mode).
     """
     norm = normalize(radii.epsilon, d_x + d_y, backend)
-    mean_ln = scale_radii(radii.epsilon, norm).mean_ln_epsilon_tilde
+    if not norm.finite:
+        raise NonFiniteNormalizationError(norm)
+    mean_ln = _sum_left_to_right(np.log(radii.epsilon) - norm.ln_v) / radii.n
 
     psi_n = digamma(float(radii.n))
     psi_k = digamma(float(radii.k))

@@ -52,6 +52,17 @@ class Status(str, Enum):
     DUPLICATE_POINTS = "duplicate_points"
 
 
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _is_list_of(values, kinds) -> bool:
+    """True for a list whose entries are all of `kinds`; bool is never a number here."""
+    return isinstance(values, list) and all(
+        isinstance(v, kinds) and not isinstance(v, bool) for v in values
+    )
+
+
 @dataclass
 class ExperimentConfig:
     family: str
@@ -73,18 +84,22 @@ class ExperimentConfig:
             self.dims = list(
                 DEFAULT_GAUSSIAN_DIMS if self.family == GAUSSIAN else DEFAULT_STUDENT_T_DIMS
             )
-        if not self.dims or any(isinstance(d, bool) or int(d) < 1 for d in self.dims):
+        if not _is_list_of(self.dims, _INTEGERS) or not self.dims or min(self.dims) < 1:
             raise ConfigurationError("dims must be a non-empty list of positive integers")
         self.dims = [int(d) for d in self.dims]
         if self.family == GAUSSIAN:
             if self.rho_grid is None:
                 self.rho_grid = list(DEFAULT_RHO_GRID)
+            if not _is_list_of(self.rho_grid, _REALS):
+                raise ConfigurationError(f"rho_grid must be a list of numbers, got {self.rho_grid!r}")
             self.rho_grid = [float(r) for r in self.rho_grid]
             if any(not 0.0 <= r <= 1.0 for r in self.rho_grid):
                 raise ConfigurationError("rho_grid values must lie in [0, 1]")
         else:
             if self.nu_grid is None:
                 self.nu_grid = list(DEFAULT_NU_GRID)
+            if not _is_list_of(self.nu_grid, _REALS):
+                raise ConfigurationError(f"nu_grid must be a list of numbers, got {self.nu_grid!r}")
             self.nu_grid = [float(v) for v in self.nu_grid]
             if any(v <= 0.0 for v in self.nu_grid):
                 raise ConfigurationError("nu_grid values must be positive")
@@ -94,9 +109,11 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.k >= self.n:
             raise ConfigurationError(f"k = {self.k} must be smaller than n = {self.n}")
-        if isinstance(self.base_seed, bool):
+        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, _INTEGERS):
             raise ConfigurationError(f"base_seed must be an integer, got {self.base_seed!r}")
         self.base_seed = int(self.base_seed)
+        if not isinstance(self.backends, list):
+            raise ConfigurationError(f"backends must be a list of names, got {self.backends!r}")
         backends = [Backend(b) for b in self.backends]
         if not backends:
             raise ConfigurationError("backends must not be empty")

@@ -18,7 +18,7 @@ import numpy as np
 
 from knnmi.datagen import GaussianSpec, generate_gaussian
 from knnmi.dataset import Dataset
-from knnmi.estimators import estimate
+from knnmi.estimators import estimate, estimate_from_radii
 from knnmi.harness import (
     ExperimentConfig,
     Status,
@@ -27,15 +27,8 @@ from knnmi.harness import (
     stability_profile,
     write_records_csv,
 )
-from knnmi.neighbors import compute_knn_radii
-from knnmi.scaling import (
-    Backend,
-    ln_v_baseline,
-    ln_v_dominant,
-    ln_v_proposed,
-    normalize,
-    scale_radii,
-)
+from knnmi.neighbors import RadiusSet, compute_knn_radii
+from knnmi.scaling import Backend, normalize
 from knnmi.truth import c_term, gaussian_truth, student_t_truth
 
 
@@ -54,8 +47,8 @@ def test_criterion_1_backend_equivalence():
         n = sizes[i % 3]
         eps = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
         for d in dims:
-            b = ln_v_baseline(eps, d)
-            p = ln_v_proposed(eps, d)
+            b = normalize(eps, d, Backend.BASELINE)
+            p = normalize(eps, d, Backend.PROPOSED)
             assert b.finite and p.finite
             err = abs(b.ln_v - p.ln_v) / max(1.0, abs(b.ln_v))
             worst = max(worst, err)
@@ -113,7 +106,10 @@ def test_criterion_3_figure_1_shape():
     ]
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
 
-    gap_at_1e6 = abs(ln_v_proposed(eps, 10**6).ln_v - ln_v_dominant(eps, 10**6).ln_v)
+    gap_at_1e6 = abs(
+        normalize(eps, 10**6, Backend.PROPOSED).ln_v
+        - normalize(eps, 10**6, Backend.DOMINANT_TERM).ln_v
+    )
     converged = gap_at_1e6 <= 1e-5
 
     ok = baseline_edge and proposed_all_finite and monotone and converged
@@ -240,13 +236,14 @@ def test_criterion_7_invariance_suite():
                 worst = max(worst, abs(scaled - base - math.log(c)))
     checks["ln_v scale equivariance"] = worst <= 1e-12
 
-    # scale invariance of the scaled radii
+    # scale invariance of the scaled radii, through the relative entropies
+    counts = np.full(eps.size, 4)
     worst = 0.0
     for backend in Backend:
-        norm = normalize(eps, 16, backend)
-        tilde = scale_radii(eps, norm).epsilon_tilde
-        scaled = scale_radii(4.0 * eps, normalize(4.0 * eps, 16, backend)).epsilon_tilde
-        worst = max(worst, float(np.max(np.abs(scaled / tilde - 1.0))))
+        a = estimate_from_radii(RadiusSet(eps, counts, counts, 4), 8, 8, backend)
+        b = estimate_from_radii(RadiusSet(4.0 * eps, counts, counts, 4), 8, 8, backend)
+        for name in ("h_x", "h_y", "h_xy"):
+            worst = max(worst, abs(getattr(b, name) - getattr(a, name)))
     checks["scaled-radii invariance"] = worst <= 1e-12
 
     # X/Y symmetry of the NMI report

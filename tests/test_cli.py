@@ -110,6 +110,14 @@ def test_sweep_bad_config_is_config_error(tmp_path):
     assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 1
 
 
+def test_sweep_null_dimension_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "gaussian", "base_seed": 1, "dims": [None]}))
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 1
+    assert "dims must be a non-empty list of positive integers" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_sweep_missing_config_is_io_error(tmp_path):
     assert run_cli("sweep", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "r.csv")) == 2

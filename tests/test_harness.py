@@ -91,12 +91,32 @@ class TestConfig:
         dict(repetitions=True),
         dict(base_seed=True),
         dict(dims=[True]),
+        dict(dims=[None]),
+        dict(dims=4),
+        dict(dims=[2.5]),
+        dict(rho_grid=[None]),
+        dict(rho_grid=0.5),
+        dict(rho_grid=[True]),
+        dict(family="student_t", nu_grid=[None]),
+        dict(backends=None),
+        dict(backends="proposed"),
+        dict(base_seed=1.7),
+        dict(base_seed=None),
     ])
     def test_validation(self, bad):
         kwargs = dict(family="gaussian", base_seed=1)
         kwargs.update(bad)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = ExperimentConfig(
+            family="gaussian", base_seed=np.int64(3), dims=[np.int32(2)],
+            rho_grid=[np.float32(0.5), 1],
+        )
+        assert cfg.base_seed == 3 and type(cfg.base_seed) is int
+        assert cfg.dims == [2] and type(cfg.dims[0]) is int
+        assert cfg.rho_grid == [0.5, 1.0]
 
     def test_student_t_grid_positive(self):
         with pytest.raises(ConfigurationError):

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmi import neighbors
 from knnmi.dataset import Dataset
@@ -221,6 +223,36 @@ def test_overflowing_radius_is_a_typed_error(workers, monkeypatch):
     with pytest.raises(RadiusOverflowError, match="overflowed float64") as exc:
         compute_knn_radii(Dataset(x, y), k=1)
     assert exc.value.index == 9
+
+
+@st.composite
+def tie_heavy_datasets(draw):
+    """Integer coordinates in 0..3, so ties at eps and coincident points abound."""
+    n = draw(st.integers(2, 40))
+    d_x, d_y = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    cells = n * (d_x + d_y)
+    joint = np.array(draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells)))
+    joint = joint.reshape(n, d_x + d_y).astype(np.float64)
+    return Dataset(joint[:, :d_x], joint[:, d_x:]), draw(st.integers(1, n - 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=tie_heavy_datasets())
+def test_tie_heavy_integer_data_matches_oracle(case):
+    # a radius is 0 exactly when a row coincides with k or more others; the
+    # scan must then name the first such row, and match the oracle otherwise
+    data, k = case
+    joint = data.joint()
+    coincident = [int((joint == row).all(axis=1).sum()) - 1 for row in joint]
+    heavy = [i for i, c in enumerate(coincident) if c >= k]
+    with pytest.MonkeyPatch.context() as m:
+        pin_scan(m, data.n, 8, 2)
+        if heavy:
+            with pytest.raises(DuplicatePointError) as exc:
+                compute_knn_radii(data, k)
+            assert exc.value.index == heavy[0]
+        else:
+            assert_matches_oracle(compute_knn_radii(data, k), data, k)
 
 
 def test_duplicates_tolerated_when_k_exceeds_multiplicity():
