@@ -54,6 +54,15 @@ class Status(str, Enum):
 
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
+_DIMS_RULE = "dims must be a non-empty list of positive integers"
+
+
+def _integer(name: str, value, low=None) -> int:
+    """value as an int: a Python or numpy integer, never a bool, and >= low if given."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigurationError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def _is_list_of(values, kinds) -> bool:
@@ -84,9 +93,12 @@ class ExperimentConfig:
             self.dims = list(
                 DEFAULT_GAUSSIAN_DIMS if self.family == GAUSSIAN else DEFAULT_STUDENT_T_DIMS
             )
-        if not _is_list_of(self.dims, _INTEGERS) or not self.dims or min(self.dims) < 1:
-            raise ConfigurationError("dims must be a non-empty list of positive integers")
-        self.dims = [int(d) for d in self.dims]
+        if not isinstance(self.dims, list) or not self.dims:
+            raise ConfigurationError(_DIMS_RULE)
+        try:
+            self.dims = [_integer("dims entry", d, 1) for d in self.dims]
+        except ConfigurationError:
+            raise ConfigurationError(_DIMS_RULE) from None
         if self.family == GAUSSIAN:
             if self.rho_grid is None:
                 self.rho_grid = list(DEFAULT_RHO_GRID)
@@ -104,14 +116,10 @@ class ExperimentConfig:
             if any(v <= 0.0 for v in self.nu_grid):
                 raise ConfigurationError("nu_grid values must be positive")
         for name, low in (("n", 2), ("k", 1), ("repetitions", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, _integer(name, getattr(self, name), low))
         if self.k >= self.n:
             raise ConfigurationError(f"k = {self.k} must be smaller than n = {self.n}")
-        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, _INTEGERS):
-            raise ConfigurationError(f"base_seed must be an integer, got {self.base_seed!r}")
-        self.base_seed = int(self.base_seed)
+        self.base_seed = _integer("base_seed", self.base_seed)
         if not isinstance(self.backends, list):
             raise ConfigurationError(f"backends must be a list of names, got {self.backends!r}")
         backends = [Backend(b) for b in self.backends]
@@ -317,7 +325,7 @@ def stability_profile(epsilon, dims) -> list:
     """Evaluate all three ln V backends over a dimension sweep of fixed radii."""
     dims = [int(d) for d in dims]
     if not dims or any(d < 1 for d in dims):
-        raise ConfigurationError("dims must be a non-empty list of positive integers")
+        raise ConfigurationError(_DIMS_RULE)
     rows = []
     for d in dims:
         for backend in Backend:

@@ -66,10 +66,8 @@ class NormalizationResult:
 
 
 def _sum_left_to_right(values: np.ndarray) -> float:
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total
+    # add.accumulate adds strictly in index order, unlike add.reduce (pairwise)
+    return float(np.add.accumulate(values)[-1])
 
 
 def normalize(epsilon, d_joint: int, backend: Backend) -> NormalizationResult:

@@ -118,6 +118,13 @@ class TestConfig:
         assert cfg.dims == [2] and type(cfg.dims[0]) is int
         assert cfg.rho_grid == [0.5, 1.0]
 
+    @pytest.mark.parametrize("name, value", [
+        ("n", np.int64(200)), ("k", np.int32(3)), ("repetitions", np.uint8(2)),
+    ], ids=["n", "k", "repetitions"])
+    def test_numpy_integer_sizes_accepted(self, name, value):
+        cfg = ExperimentConfig(family="gaussian", base_seed=1, **{name: value})
+        assert getattr(cfg, name) == value and type(getattr(cfg, name)) is int
+
     def test_student_t_grid_positive(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(family="student_t", base_seed=1, nu_grid=[0.0])

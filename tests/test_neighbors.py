@@ -43,6 +43,21 @@ def pin_scan(monkeypatch, n, rows, workers):
     monkeypatch.setattr(neighbors, "_cpu_count", lambda: workers)
 
 
+# the two scans behind compute_knn_radii; d_x = d_y = 1 selects the first
+SCANS = ("sorted_window", "brute_force")
+
+
+def use_scan(m, scan):
+    """Route compute_knn_radii at d_x = d_y = 1 through `scan` (one of SCANS)."""
+    if scan == "brute_force":
+        m.setattr(neighbors, "_sorted_window_scan", neighbors._brute_force_scan)
+
+
+def scans_for(data):
+    """Both scans where the shape has two, else the one brute-force scan."""
+    return SCANS if data.d_x == data.d_y == 1 else SCANS[1:]
+
+
 def assert_matches_oracle(rs, data, k, err_msg=""):
     eps, n_x, n_y = naive_radii(data, k)
     np.testing.assert_array_equal(rs.epsilon, eps, err_msg=err_msg)
@@ -89,12 +104,14 @@ def test_matches_naive_oracle_exactly(n, d_x, d_y, k, monkeypatch):
     # n here) and of the whole sample, each with 1, 2 and 3 threads
     rng = np.random.default_rng(n * 1000 + k)
     data = random_dataset(rng, n, d_x, d_y)
-    for rows in (8, 13, n):
-        for workers in (1, 2, 3):
-            with monkeypatch.context() as m:
-                pin_scan(m, n, rows, workers)
-                rs = compute_knn_radii(data, k)
-                assert_matches_oracle(rs, data, k, f"rows={rows} workers={workers}")
+    for scan in scans_for(data):
+        for rows in (8, 13, n):
+            for workers in (1, 2, 3):
+                with monkeypatch.context() as m:
+                    use_scan(m, scan)
+                    pin_scan(m, n, rows, workers)
+                    rs = compute_knn_radii(data, k)
+                    assert_matches_oracle(rs, data, k, f"{scan} rows={rows} workers={workers}")
 
 
 def test_more_threads_than_cores_lose_no_block(monkeypatch):
@@ -116,7 +133,10 @@ def test_more_threads_than_cores_lose_no_block(monkeypatch):
     assert_matches_oracle(result[0], data, 3)
 
 
-@pytest.mark.parametrize("name", ["grid", "coincident_below_k", "empty_y", "subnormal", "huge"])
+@pytest.mark.parametrize("name", [
+    "grid", "coincident_below_k", "empty_y", "subnormal", "huge",
+    "x_ties_d2", "coincident_below_k_d2", "subnormal_d2",
+])
 def test_adversarial_inputs_match_oracle(name, monkeypatch):
     rng = np.random.default_rng(23)
     if name == "grid":
@@ -135,13 +155,30 @@ def test_adversarial_inputs_match_oracle(name, monkeypatch):
     elif name == "subnormal":
         # spreads below the smallest normal float64 (2.2e-308)
         data, k = Dataset(rng.normal(size=(40, 2)) * 1e-310, rng.normal(size=(40, 1)) * 1e-312), 3
-    else:
+    elif name == "huge":
         # magnitudes near 1e308: many differences overflow to inf, no radius does
         data, k = Dataset(rng.uniform(-1, 1, (40, 1)) * 1e308, rng.normal(size=(40, 1))), 2
-    pin_scan(monkeypatch, data.n, 8, 2)
-    rs = compute_knn_radii(data, k)
-    with np.errstate(over="ignore"):
-        assert_matches_oracle(rs, data, k)
+    elif name == "x_ties_d2":
+        # five x values shared by twelve rows each, distinct y: every x-sorted
+        # window must grow past a run of ties before it can be accepted
+        data, k = Dataset(rng.integers(0, 5, (60, 1)).astype(float), rng.normal(size=(60, 1))), 4
+    elif name == "coincident_below_k_d2":
+        # rows 3, 20 and 45 coincide (two coincident others, fewer than k = 4)
+        # and rows 7 and 50 share x only
+        x, y = rng.normal(size=(60, 1)), rng.normal(size=(60, 1))
+        x[[20, 45]], y[[20, 45]] = x[3], y[3]
+        x[50] = x[7]
+        data, k = Dataset(x, y), 4
+    else:
+        # d_x = d_y = 1 with spreads below the smallest normal float64
+        data, k = Dataset(rng.normal(size=(40, 1)) * 1e-310, rng.normal(size=(40, 1)) * 1e-312), 3
+    for scan in scans_for(data):
+        with monkeypatch.context() as m:
+            use_scan(m, scan)
+            pin_scan(m, data.n, 8, 2)
+            rs = compute_knn_radii(data, k)
+        with np.errstate(over="ignore"):
+            assert_matches_oracle(rs, data, k, scan)
 
 
 def test_marginal_counts_at_least_k_minus_1():
@@ -201,15 +238,20 @@ def test_duplicate_points_rejected():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_first_duplicate_in_row_order_is_reported(workers, monkeypatch):
-    # duplicate pairs (12, 35) and (20, 27) lie in four different 8-row blocks
+    # duplicate pairs (12, 35) and (20, 27) lie in four different 8-row
+    # blocks; at k = 1 each row has k coincident others, so its radius is 0
     rng = np.random.default_rng(29)
-    x, y = rng.normal(size=(48, 2)), rng.normal(size=(48, 2))
-    x[35], y[35] = x[12], y[12]
-    x[27], y[27] = x[20], y[20]
-    pin_scan(monkeypatch, 48, 8, workers)
-    with pytest.raises(DuplicatePointError) as exc:
-        compute_knn_radii(Dataset(x, y), k=1)
-    assert exc.value.index == 12
+    for d in (2, 1):
+        x, y = rng.normal(size=(48, d)), rng.normal(size=(48, d))
+        x[35], y[35] = x[12], y[12]
+        x[27], y[27] = x[20], y[20]
+        for scan in scans_for(Dataset(x, y)):
+            with monkeypatch.context() as m:
+                use_scan(m, scan)
+                pin_scan(m, 48, 8, workers)
+                with pytest.raises(DuplicatePointError) as exc:
+                    compute_knn_radii(Dataset(x, y), k=1)
+            assert exc.value.index == 12, (d, scan)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -219,10 +261,58 @@ def test_overflowing_radius_is_a_typed_error(workers, monkeypatch):
     rng = np.random.default_rng(31)
     x, y = -rng.uniform(0.5, 1.0, (40, 1)) * 1e308, -rng.uniform(0.5, 1.0, (40, 1)) * 1e308
     x[9], y[30] = 1.7e308, 1.7e308
-    pin_scan(monkeypatch, 40, 8, workers)
-    with pytest.raises(RadiusOverflowError, match="overflowed float64") as exc:
-        compute_knn_radii(Dataset(x, y), k=1)
-    assert exc.value.index == 9
+    for scan in SCANS:
+        with monkeypatch.context() as m:
+            use_scan(m, scan)
+            pin_scan(m, 40, 8, workers)
+            with pytest.raises(RadiusOverflowError, match="overflowed float64") as exc:
+                compute_knn_radii(Dataset(x, y), k=1)
+        assert exc.value.index == 9, scan
+
+
+def test_scan_is_chosen_by_shape(monkeypatch):
+    # d_x = d_y = 1 takes the sorted-window scan, every other shape brute force
+    def refuse(*args):
+        raise AssertionError("brute-force scan used")
+
+    rng = np.random.default_rng(43)
+    monkeypatch.setattr(neighbors, "_brute_force_scan", refuse)
+    compute_knn_radii(random_dataset(rng, 30, 1, 1), 2)
+    for d_x, d_y in ((2, 1), (1, 2), (1, 0)):
+        with pytest.raises(AssertionError, match="brute-force scan used"):
+            compute_knn_radii(random_dataset(rng, 30, d_x, d_y), 2)
+
+
+@pytest.mark.parametrize("n, k", [(500, 1), (2000, 5), (2000, 40)])
+def test_sorted_window_scan_equals_brute_force(n, k):
+    # Student-t-like tails: far-out rows need several window growths, and
+    # rows with a large |y| need windows spanning most of the sample
+    rng = np.random.default_rng(n + k)
+    x, y = rng.standard_t(0.5, (n, 1)), rng.standard_t(0.5, (n, 1))
+    got = neighbors._sorted_window_scan(x, y, k)
+    want = neighbors._brute_force_scan(x, y, k)
+    for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(n=st.integers(5, 60), data=st.data())
+def test_decimal_grid_data_matches_oracle(n, data):
+    # coordinates like round(u, 1) + round(v, 2): many marginal distances sit
+    # at eps, where v_p + eps rounds differently from the differences, so a
+    # count edge from the addition form v_q < v_p + eps would be off
+    tenths = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    hundredths = st.lists(st.integers(0, 99), min_size=n, max_size=n)
+    x = np.array(data.draw(tenths)) / 10 + np.array(data.draw(hundredths)) / 100
+    y = np.array(data.draw(tenths)) / 10 + np.array(data.draw(hundredths)) / 100
+    dataset, k = Dataset(x[:, None], y[:, None]), 3
+    joint = dataset.joint()
+    if any(int((joint == row).all(axis=1).sum()) - 1 >= k for row in joint):
+        return  # a radius of 0 is covered by the duplicate tests
+    for scan in SCANS:
+        with pytest.MonkeyPatch.context() as m:
+            use_scan(m, scan)
+            assert_matches_oracle(compute_knn_radii(dataset, k), dataset, k, scan)
 
 
 @st.composite
@@ -245,14 +335,16 @@ def test_tie_heavy_integer_data_matches_oracle(case):
     joint = data.joint()
     coincident = [int((joint == row).all(axis=1).sum()) - 1 for row in joint]
     heavy = [i for i, c in enumerate(coincident) if c >= k]
-    with pytest.MonkeyPatch.context() as m:
-        pin_scan(m, data.n, 8, 2)
-        if heavy:
-            with pytest.raises(DuplicatePointError) as exc:
-                compute_knn_radii(data, k)
-            assert exc.value.index == heavy[0]
-        else:
-            assert_matches_oracle(compute_knn_radii(data, k), data, k)
+    for scan in scans_for(data):
+        with pytest.MonkeyPatch.context() as m:
+            use_scan(m, scan)
+            pin_scan(m, data.n, 8, 2)
+            if heavy:
+                with pytest.raises(DuplicatePointError) as exc:
+                    compute_knn_radii(data, k)
+                assert exc.value.index == heavy[0], scan
+            else:
+                assert_matches_oracle(compute_knn_radii(data, k), data, k, scan)
 
 
 def test_duplicates_tolerated_when_k_exceeds_multiplicity():

@@ -8,7 +8,7 @@ import pytest
 from knnmi.errors import ConfigurationError, NonFiniteNormalizationError
 from knnmi.estimators import estimate_from_radii
 from knnmi.neighbors import RadiusSet
-from knnmi.scaling import Backend, normalize
+from knnmi.scaling import Backend, _sum_left_to_right, normalize
 from knnmi.special import digamma
 
 LN2 = math.log(2.0)
@@ -204,3 +204,19 @@ class TestValidation:
             assert r.backend is backend
         r = normalize([1.0, 2.0], 4, "proposed")
         assert r.backend is Backend.PROPOSED
+
+
+def test_sum_is_strictly_left_to_right():
+    # bit-for-bit the plain loop total += v: pairwise summation (add.reduce,
+    # math.fsum) would round differently on vectors spanning 1e-300..1e300
+    rng = np.random.default_rng(47)
+    for size in (1, 2, 7, 1000, 20000):
+        values = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.uniform(-300, 300, size)
+        if size > 2:
+            values[size // 2] = np.inf
+        for vector in (values, values[: max(1, size - 1)], -np.log(values[np.isfinite(values)])):
+            total = 0.0
+            for v in vector.tolist():
+                total += v
+            got = _sum_left_to_right(vector)
+            assert got == total and type(got) is float
