@@ -103,6 +103,8 @@ def dataset_from_csv(path, d_x=None, d_y=None) -> Dataset:
             )
     elif d_x is None or d_y is None:
         raise ConfigurationError("give both d_x and d_y, or neither")
+    elif d_x < 0 or d_y < 0:
+        raise ConfigurationError(f"d_x and d_y must be >= 0, got {d_x} and {d_y}")
     if d_x + d_y != n_cols:
         raise ConfigurationError(
             f"{path}: d_x + d_y = {d_x + d_y} does not match {n_cols} columns"

@@ -15,16 +15,24 @@ point, the KSG "algorithm 1" convention. Consequences worth remembering:
   overflows is a hard error.
 
 Two exact scans give bit-identical radii and counts; the shape picks one.
+Both share their work out in chunks to one thread per CPU in the process's
+affinity mask (numpy releases the GIL inside each array operation; a single
+chunk runs inline with no pool). Threads pop chunks in order from one queue,
+own their scratch and write disjoint rows of the result. Every reduction
+(max, partition, integer count) is order-independent, so results are
+bit-identical for any chunk size and thread count.
 
-At d_x = d_y = 1 (D = 2) the rows are sorted by x once, and each row's
-epsilon is the k-th smallest of max(|x_p - x_q|, |y_p - y_q|) over a window
-of x-sorted neighbours, with the same float operations as brute force. A
-row is accepted once the nearest row outside its window on each side has
-|x_p - x_q| >= epsilon: fl(x_q - x_p) is monotone in sorted order, so every
-row outside is at least that far in the joint max-norm and the k-th
-smallest is exact. Rows that fail are retried with a window _WINDOW_GROWTH
-times wider, and a window of all N rows always passes. The counts come from
-x-sorted and y-sorted order with the subtraction predicate
+At d_x = d_y = 1 (D = 2) the rows are sorted once by the coordinate with
+more distinct values, called x here (x itself on a tie; a run of tied keys
+holds windows open), and each row's epsilon is the k-th smallest of
+max(|x_p - x_q|, |y_p - y_q|) over a window of x-sorted neighbours, with
+the same float operations as brute force. A row is accepted once the
+nearest row outside its window on each side has |x_p - x_q| >= epsilon:
+fl(x_q - x_p) is monotone in sorted order, so every row outside is at least
+that far in the joint max-norm and the k-th smallest is exact. Rows that
+fail are retried with a window _WINDOW_GROWTH times wider, and a window of
+all N rows always passes; each pass shares its rows out in chunks. The
+counts come from x-sorted and y-sorted order with the subtraction predicate
 |v_q - v_p| < epsilon, whose hits are a contiguous run around p. The
 addition form v_q < v_p + epsilon rounds differently and miscounts on
 decimal data, so it only seeds the search for each edge of the run. This
@@ -38,12 +46,7 @@ into a running max, blocked over query rows (reducing over a short last
 axis would hit numpy's slow strided path). A block's four float planes and
 one bool plane are sized to stay in a core's L2 cache: every ufunc pass
 re-reads them, and planes that spill to memory made the scan two to three
-times slower on a 2-vCPU Xeon with 4 MiB of L2 per core. Query blocks are
-shared out to one thread per CPU in the process's affinity mask (numpy
-releases the GIL inside each pass); each thread owns its scratch planes
-and writes disjoint rows of the result. Every reduction (max, partition,
-integer count) is order-independent, so results are bit-identical for any
-block size and thread count.
+times slower on a 2-vCPU Xeon with 4 MiB of L2 per core.
 """
 
 import math
@@ -57,9 +60,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dataset import Dataset
 from .errors import ConfigurationError, DuplicatePointError, RadiusOverflowError
 
-# doubles per scratch plane (512 KiB): one thread's four float planes and
-# one bool plane fit in 4 MiB of L2. Fastest of 2**15..2**18 measured at
-# (N, d) = (10000, 1), (10000, 8), (1000, 512); output is the same for any value
+# doubles per scratch plane (512 KiB). Brute force: per thread, so one
+# thread's four float planes and one bool plane fit in 4 MiB of L2; fastest
+# of 2**15..2**18 measured at (N, d) = (10000, 1), (10000, 8), (1000, 512).
+# Sorted window: per scan, split evenly over the threads, so that threading
+# holds no more memory than one thread did. Output is the same for any value
 _SCRATCH_ELEMS = 2**16
 
 # sorted-window scan: the first window spans _FIRST_WINDOW * sqrt(k N) rows
@@ -140,9 +145,17 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
 
 @np.errstate(over="ignore")
 def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
-    """(epsilon, n_x, n_y) at d_x = d_y = 1 from windows of x-sorted neighbours."""
+    """(epsilon, n_x, n_y) at d_x = d_y = 1 from windows of sorted neighbours."""
     n = x.shape[0]
+    # sort by the coordinate with more distinct values, x on a tie, since a
+    # run of tied keys keeps windows from being accepted; swapping x and y
+    # changes no float operation, and n_x, n_y are swapped back at the end
     order = np.argsort(x[:, 0], kind="stable")
+    sorted_x, sorted_y = x[order, 0], np.sort(y[:, 0])
+    swap = np.count_nonzero(np.diff(sorted_y)) > np.count_nonzero(np.diff(sorted_x))
+    if swap:
+        x, y, sorted_y = y, x, sorted_x
+        order = np.argsort(x[:, 0], kind="stable")
     planes = np.stack([x[order, 0], y[order, 0]])  # x-sorted x and y
     xs, ys = planes
     eps = np.empty(n)
@@ -150,32 +163,51 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
     width = min(n, max(int(_FIRST_WINDOW * math.sqrt(k * n)), k + 1))
     while todo.size:
         windows = sliding_window_view(planes, width, axis=1)
-        rows = max(1, _SCRATCH_ELEMS // width)
-        scratch = np.empty((min(rows, todo.size), width))
-        unresolved = []
-        for c in range(0, todo.size, rows):
-            p = todo[c : c + rows]
-            lo = np.minimum(np.maximum(p - width // 2, 0), n - width)
-            dist = windows[:, lo]
-            np.subtract(planes[:, p, None], dist, out=dist)
-            np.abs(dist, out=dist)
-            joint = np.maximum(dist[0], dist[1], out=scratch[: p.size])
-            joint[np.arange(p.size), p - lo] = np.inf  # exclude self
-            joint.partition(k - 1, axis=1)
-            e = joint[:, k - 1]
-            # exact once the nearest row outside the window on each side is
-            # at least e away in x, hence in the joint max-norm
-            below = xs[np.maximum(lo - 1, 0)]
-            above = xs[np.minimum(lo + width, n - 1)]
-            done = (lo == 0) | (np.abs(xs[p] - below) >= e)
-            done &= (lo + width == n) | (np.abs(xs[p] - above) >= e)
-            eps[p[done]] = e[done]
-            unresolved.append(p[~done])
+        rows = max(1, _SCRATCH_ELEMS // (width * _cpu_count()))
+        starts = range(0, todo.size, rows)
+        # one slot per chunk, joined in chunk order: the next pass is the same
+        # for any thread count
+        unresolved = [None] * len(starts)
+
+        def scan_chunks(chunks: deque) -> None:
+            """Pop chunks of todo until none is left; scratch is per call."""
+            scratch = np.empty((2, min(rows, todo.size), width))
+            while True:
+                try:
+                    c = chunks.popleft()
+                except IndexError:
+                    return
+                p = todo[starts[c] : starts[c] + rows]
+                lo = np.minimum(np.maximum(p - width // 2, 0), n - width)
+                if lo[-1] - lo[0] == p[-1] - p[0] == p.size - 1:
+                    # consecutive rows (todo is ascending): their windows are
+                    # one strided view, read with no copy
+                    near, dist = windows[:, lo[0] : lo[-1] + 1], scratch[:, : p.size]
+                else:
+                    near = dist = windows[:, lo]  # a copy, overwritten below
+                np.subtract(planes[:, p, None], near, out=dist)
+                np.abs(dist, out=dist)
+                joint = np.maximum(dist[0], dist[1], out=dist[0])
+                joint[np.arange(p.size), p - lo] = np.inf  # exclude self
+                joint.partition(k - 1, axis=1)
+                e = joint[:, k - 1]
+                # exact once the nearest row outside the window on each side
+                # is at least e away in x, hence in the joint max-norm
+                below = xs[np.maximum(lo - 1, 0)]
+                above = xs[np.minimum(lo + width, n - 1)]
+                done = (lo == 0) | (np.abs(xs[p] - below) >= e)
+                done &= (lo + width == n) | (np.abs(xs[p] - above) >= e)
+                eps[p[done]] = e[done]
+                unresolved[c] = p[~done]
+
+        _share_out(scan_chunks, range(len(starts)))
         todo = np.concatenate(unresolved)
         width = min(n, _WINDOW_GROWTH * width)
 
     n_x = _count_within(xs, xs, eps)
-    n_y = _count_within(np.sort(ys), ys, eps)
+    n_y = _count_within(sorted_y, ys, eps)
+    if swap:
+        n_x, n_y = n_y, n_x
     unsorted = np.empty_like(order)
     unsorted[order] = np.arange(n)  # row i sits at sorted position unsorted[i]
     return eps[unsorted], n_x[unsorted], n_y[unsorted]
@@ -220,13 +252,8 @@ def _brute_force_scan(x: np.ndarray, y: np.ndarray, k: int):
     y_features = np.ascontiguousarray(y.T)
 
     block = max(8, min(n, _SCRATCH_ELEMS // n))
-    starts = deque(range(0, n, block))
-    workers = min(_cpu_count(), len(starts))
 
-    # numpy's error state is per thread, so it is set in the worker; an inf
-    # difference is not an error (see the check after the scan)
-    @np.errstate(over="ignore")
-    def scan_blocks() -> None:
+    def scan_blocks(starts: deque) -> None:
         """Pop query blocks in row order until none is left; scratch is per call."""
         dist_x = np.empty((block, n))
         dist_y = np.empty((block, n))
@@ -278,15 +305,33 @@ def _brute_force_scan(x: np.ndarray, y: np.ndarray, k: int):
                 # check below still sees the first failing row; skip the rest
                 starts.clear()
 
-    if workers == 1:
-        scan_blocks()
-    else:
-        # imported on first use: it pulls in logging, about 10 ms that every
-        # import of the package (and every single-block scan) would pay
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(scan_blocks) for _ in range(workers)]:
-                future.result()
-
+    _share_out(scan_blocks, range(0, n, block))
     return epsilon, n_x, n_y
+
+
+def _share_out(worker, items) -> None:
+    """Call worker(pending) in one thread per CPU, and in no more threads than items.
+
+    pending is a deque of `items` shared by every call; each call pops from
+    its left until it is empty, so items are taken in order. A single call
+    runs inline, with no pool. numpy's error state is per thread, so each
+    call ignores float overflow in its own thread: an inf difference is not
+    an error (see the check after the scan).
+    """
+    pending = deque(items)
+    workers = min(_cpu_count(), len(pending))
+
+    def run() -> None:
+        with np.errstate(over="ignore"):
+            worker(pending)
+
+    if workers <= 1:
+        run()
+        return
+    # imported on first use: it pulls in logging, about 10 ms that every
+    # import of the package (and every single-block scan) would pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(run) for _ in range(workers)]:
+            future.result()

@@ -64,6 +64,19 @@ def test_estimate_duplicate_points_is_config_error(tmp_path):
     assert run_cli("estimate", "--data", str(path), "--k", "1") == 1
 
 
+def test_estimate_negative_dims_is_config_error(tmp_path, capsys):
+    # d_x + d_y matches the two columns, but a negative width must not slice
+    # the columns into some other split
+    path = tmp_path / "d.csv"
+    run_cli("gen", "--family", "gaussian", "--d", "1", "--rho", "0.5",
+            "--n", "20", "--seed", "1", "--out", str(path))
+    for dims in (("--dx", "-1", "--dy", "3"), ("--dx", "3", "--dy", "-1"),
+                 ("--dx=-1", "--dy=3")):
+        capsys.readouterr()
+        assert run_cli("estimate", "--data", str(path), *dims) == 1, dims
+        assert "must be >= 0" in capsys.readouterr().err, dims
+
+
 def test_estimate_overflowing_radius_is_named(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text("x_1,y_1\n-1e308,0.0\n1e308,1.0\n")

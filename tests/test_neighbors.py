@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -36,11 +37,18 @@ def random_dataset(rng, n, d_x, d_y):
     return Dataset(rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y)))
 
 
-def pin_scan(monkeypatch, n, rows, workers):
-    """Make the scan use query blocks of `rows` rows (or the 8-row floor) and
-    up to `workers` threads."""
-    monkeypatch.setattr(neighbors, "_SCRATCH_ELEMS", rows * n)
+def pin_scan(monkeypatch, scratch, workers):
+    """Give the scans `scratch` doubles per plane and up to `workers` threads.
+
+    Brute force then takes query blocks of scratch // n rows (at least 8), and
+    the sorted-window scan chunks of scratch // (width * workers) rows (at
+    least 1). Its first window is pinned to k + 1 rows and doubles each pass,
+    so that most rows of a small sample take several passes.
+    """
+    monkeypatch.setattr(neighbors, "_SCRATCH_ELEMS", scratch)
     monkeypatch.setattr(neighbors, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(neighbors, "_FIRST_WINDOW", 0.0)
+    monkeypatch.setattr(neighbors, "_WINDOW_GROWTH", 2)
 
 
 # the two scans behind compute_knn_radii; d_x = d_y = 1 selects the first
@@ -63,6 +71,27 @@ def assert_matches_oracle(rs, data, k, err_msg=""):
     np.testing.assert_array_equal(rs.epsilon, eps, err_msg=err_msg)
     np.testing.assert_array_equal(rs.n_x, n_x, err_msg=err_msg)
     np.testing.assert_array_equal(rs.n_y, n_y, err_msg=err_msg)
+
+
+def assert_scan_agrees_with_oracle(data, k, err_msg=""):
+    """compute_knn_radii matches naive_radii, or raises the error that the
+    oracle's first zero or infinite radius calls for, and warns of nothing."""
+    with np.errstate(over="ignore"):
+        eps = naive_radii(data, k)[0]
+    bad = np.flatnonzero((eps == 0.0) | (eps == np.inf))
+    with warnings.catch_warnings():
+        # the filters are global, so a warning raised in a worker thread
+        # fails the scan too
+        warnings.simplefilter("error", RuntimeWarning)
+        if bad.size:
+            error = DuplicatePointError if eps[bad[0]] == 0.0 else RadiusOverflowError
+            with pytest.raises(error) as exc:
+                compute_knn_radii(data, k)
+            assert exc.value.index == bad[0], err_msg
+            return
+        rs = compute_knn_radii(data, k)
+    with np.errstate(over="ignore"):
+        assert_matches_oracle(rs, data, k, err_msg)
 
 
 def test_pure_x_line_fixture():
@@ -100,42 +129,47 @@ def test_k_equals_n_minus_1_is_farthest():
     [(30, 1, 1, 1), (100, 2, 2, 5), (200, 3, 1, 4), (64, 1, 0, 3), (50, 7, 5, 10)],
 )
 def test_matches_naive_oracle_exactly(n, d_x, d_y, k, monkeypatch):
-    # blocks of the 8-row floor, of 13 rows (an uneven last block for every
-    # n here) and of the whole sample, each with 1, 2 and 3 threads
+    # brute force: blocks of the 8-row floor, of 13 rows (an uneven last
+    # block for every n here) and of the whole sample; sorted window: several
+    # chunks in every pass, then one chunk in most passes. Each with 1, 2 and
+    # 3 threads
     rng = np.random.default_rng(n * 1000 + k)
     data = random_dataset(rng, n, d_x, d_y)
     for scan in scans_for(data):
-        for rows in (8, 13, n):
+        for rows in (1, 13, n):
             for workers in (1, 2, 3):
                 with monkeypatch.context() as m:
                     use_scan(m, scan)
-                    pin_scan(m, n, rows, workers)
+                    pin_scan(m, rows * n, workers)
                     rs = compute_knn_radii(data, k)
                     assert_matches_oracle(rs, data, k, f"{scan} rows={rows} workers={workers}")
 
 
 def test_more_threads_than_cores_lose_no_block(monkeypatch):
-    # 50 blocks over 8 threads with a 1 us switch interval: a block lost or
-    # written twice by the shared block queue would leave a wrong radius
+    # 8 threads with a 1 us switch interval: brute force shares out 50 blocks,
+    # the sorted-window scan 34 chunks in its first pass and more later. A
+    # block or chunk lost or written twice by the shared queue would leave a
+    # wrong radius, and a lost slot of unresolved rows a missing one
     rng = np.random.default_rng(37)
-    data = random_dataset(rng, 400, 2, 1)
-    pin_scan(monkeypatch, 400, 8, 8)
-    result = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        scan = threading.Thread(target=lambda: result.append(compute_knn_radii(data, 3)))
-        scan.start()
-        scan.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not scan.is_alive() and len(result) == 1
-    assert_matches_oracle(result[0], data, 3)
+    pin_scan(monkeypatch, 400, 8)
+    for d_x in (2, 1):
+        data = random_dataset(rng, 400, d_x, 1)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scan = threading.Thread(target=lambda: result.append(compute_knn_radii(data, 3)))
+            scan.start()
+            scan.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not scan.is_alive() and len(result) == 1, d_x
+        assert_matches_oracle(result[0], data, 3, f"d_x={d_x}")
 
 
 @pytest.mark.parametrize("name", [
     "grid", "coincident_below_k", "empty_y", "subnormal", "huge",
-    "x_ties_d2", "coincident_below_k_d2", "subnormal_d2",
+    "x_ties_d2", "coincident_below_k_d2", "subnormal_d2", "y_ties_d2",
 ])
 def test_adversarial_inputs_match_oracle(name, monkeypatch):
     rng = np.random.default_rng(23)
@@ -158,10 +192,13 @@ def test_adversarial_inputs_match_oracle(name, monkeypatch):
     elif name == "huge":
         # magnitudes near 1e308: many differences overflow to inf, no radius does
         data, k = Dataset(rng.uniform(-1, 1, (40, 1)) * 1e308, rng.normal(size=(40, 1))), 2
-    elif name == "x_ties_d2":
-        # five x values shared by twelve rows each, distinct y: every x-sorted
-        # window must grow past a run of ties before it can be accepted
-        data, k = Dataset(rng.integers(0, 5, (60, 1)).astype(float), rng.normal(size=(60, 1))), 4
+    elif name in ("x_ties_d2", "y_ties_d2"):
+        # five values shared by twelve rows each against a distinct coordinate:
+        # the sorted-window scan sorts by the distinct one (swapping x and y
+        # for x_ties_d2), and a window sorted by the tied one would have to
+        # grow past a run of ties before it could be accepted
+        tied, distinct = rng.integers(0, 5, (60, 1)).astype(float), rng.normal(size=(60, 1))
+        data, k = Dataset(*((tied, distinct) if name == "x_ties_d2" else (distinct, tied))), 4
     elif name == "coincident_below_k_d2":
         # rows 3, 20 and 45 coincide (two coincident others, fewer than k = 4)
         # and rows 7 and 50 share x only
@@ -172,13 +209,13 @@ def test_adversarial_inputs_match_oracle(name, monkeypatch):
     else:
         # d_x = d_y = 1 with spreads below the smallest normal float64
         data, k = Dataset(rng.normal(size=(40, 1)) * 1e-310, rng.normal(size=(40, 1)) * 1e-312), 3
+    # brute force: 8-row blocks; sorted window: several chunks per pass
     for scan in scans_for(data):
-        with monkeypatch.context() as m:
-            use_scan(m, scan)
-            pin_scan(m, data.n, 8, 2)
-            rs = compute_knn_radii(data, k)
-        with np.errstate(over="ignore"):
-            assert_matches_oracle(rs, data, k, scan)
+        for workers in (1, 2, 3):
+            with monkeypatch.context() as m:
+                use_scan(m, scan)
+                pin_scan(m, data.n, workers)
+                assert_scan_agrees_with_oracle(data, k, f"{scan} workers={workers}")
 
 
 def test_marginal_counts_at_least_k_minus_1():
@@ -248,7 +285,7 @@ def test_first_duplicate_in_row_order_is_reported(workers, monkeypatch):
         for scan in scans_for(Dataset(x, y)):
             with monkeypatch.context() as m:
                 use_scan(m, scan)
-                pin_scan(m, 48, 8, workers)
+                pin_scan(m, 48, workers)
                 with pytest.raises(DuplicatePointError) as exc:
                     compute_knn_radii(Dataset(x, y), k=1)
             assert exc.value.index == 12, (d, scan)
@@ -264,7 +301,7 @@ def test_overflowing_radius_is_a_typed_error(workers, monkeypatch):
     for scan in SCANS:
         with monkeypatch.context() as m:
             use_scan(m, scan)
-            pin_scan(m, 40, 8, workers)
+            pin_scan(m, 40, workers)
             with pytest.raises(RadiusOverflowError, match="overflowed float64") as exc:
                 compute_knn_radii(Dataset(x, y), k=1)
         assert exc.value.index == 9, scan
@@ -284,15 +321,35 @@ def test_scan_is_chosen_by_shape(monkeypatch):
 
 
 @pytest.mark.parametrize("n, k", [(500, 1), (2000, 5), (2000, 40)])
-def test_sorted_window_scan_equals_brute_force(n, k):
+def test_sorted_window_scan_equals_brute_force(n, k, monkeypatch):
     # Student-t-like tails: far-out rows need several window growths, and
-    # rows with a large |y| need windows spanning most of the sample
+    # rows with a large |y| need windows spanning most of the sample. Default
+    # windows and scratch, then pinned ones with several chunks per pass
     rng = np.random.default_rng(n + k)
     x, y = rng.standard_t(0.5, (n, 1)), rng.standard_t(0.5, (n, 1))
-    got = neighbors._sorted_window_scan(x, y, k)
     want = neighbors._brute_force_scan(x, y, k)
-    for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
-        np.testing.assert_array_equal(a, b, err_msg=name)
+    for workers in (None, 1, 2, 3):
+        with monkeypatch.context() as m:
+            if workers:
+                pin_scan(m, 4 * n, workers)
+            got = neighbors._sorted_window_scan(x, y, k)
+        for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
+            np.testing.assert_array_equal(a, b, err_msg=f"{name} workers={workers}")
+
+
+def test_sorted_window_scan_sorts_by_the_more_distinct_coordinate(monkeypatch):
+    # x in {0, 1} against normal y, and the mirror: sorted by the distinct
+    # coordinate, every window is accepted in the first pass; sorted by the
+    # tied one, a window must first grow past a run of about 200 ties
+    passes = []
+    share_out = neighbors._share_out
+    monkeypatch.setattr(neighbors, "_share_out", lambda *args: (passes.append(1), share_out(*args)))
+    rng = np.random.default_rng(41)
+    tied, distinct = rng.integers(0, 2, (400, 1)).astype(float), rng.normal(size=(400, 1))
+    for data in (Dataset(tied, distinct), Dataset(distinct, tied)):
+        passes.clear()
+        assert_matches_oracle(compute_knn_radii(data, 3), data, 3)
+        assert len(passes) == 1
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -338,13 +395,39 @@ def test_tie_heavy_integer_data_matches_oracle(case):
     for scan in scans_for(data):
         with pytest.MonkeyPatch.context() as m:
             use_scan(m, scan)
-            pin_scan(m, data.n, 8, 2)
+            pin_scan(m, data.n, 2)
             if heavy:
                 with pytest.raises(DuplicatePointError) as exc:
                     compute_knn_radii(data, k)
                 assert exc.value.index == heavy[0], scan
             else:
                 assert_matches_oracle(compute_knn_radii(data, k), data, k, scan)
+
+
+@pytest.mark.parametrize("magnitude", ["subnormal", "huge"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extreme_magnitudes_match_oracle(magnitude, data):
+    # subnormal: integer multiples of the smallest subnormal, so spreads lie
+    # below 2.2e-308 and distances tie often; huge: finite coordinates up to
+    # 1.7e308, so differences and some radii overflow to inf. Both scans, 2
+    # threads, several chunks per pass
+    n = data.draw(st.integers(3, 30))
+    d_x, d_y = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 2), (3, 1)]))
+    cells = n * (d_x + d_y)
+    if magnitude == "subnormal":
+        units = data.draw(st.lists(st.integers(-2**20, 2**20), min_size=cells, max_size=cells))
+        joint = np.ldexp(np.array(units, dtype=np.float64), -1074)
+    else:
+        unit = st.floats(-1.0, 1.0)
+        joint = np.array(data.draw(st.lists(unit, min_size=cells, max_size=cells))) * 1.7e308
+    joint = joint.reshape(n, d_x + d_y)
+    dataset, k = Dataset(joint[:, :d_x], joint[:, d_x:]), data.draw(st.integers(1, min(5, n - 1)))
+    for scan in scans_for(dataset):
+        with pytest.MonkeyPatch.context() as m:
+            use_scan(m, scan)
+            pin_scan(m, n, 2)
+            assert_scan_agrees_with_oracle(dataset, k, scan)
 
 
 def test_duplicates_tolerated_when_k_exceeds_multiplicity():
