@@ -158,11 +158,17 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
         order = np.argsort(x[:, 0], kind="stable")
     planes = np.stack([x[order, 0], y[order, 0]])  # x-sorted x and y
     xs, ys = planes
+    padded = np.concatenate([[-np.inf], xs, [np.inf]])  # padded[j] is xs[j - 1]
     eps = np.empty(n)
     todo = np.arange(n)
     width = min(n, max(int(_FIRST_WINDOW * math.sqrt(k * n)), k + 1))
     while todo.size:
         windows = sliding_window_view(planes, width, axis=1)
+        lo = np.minimum(np.maximum(todo - width // 2, 0), n - width)  # window starts
+        # a row's epsilon is exact once the nearest rows outside its window are
+        # at least that far in x, hence in the joint max-norm (inf at an end)
+        query = xs[todo]
+        gap = np.minimum(np.abs(query - padded[lo]), np.abs(query - padded[lo + width + 1]))
         rows = max(1, _SCRATCH_ELEMS // (width * _cpu_count()))
         starts = range(0, todo.size, rows)
         # one slot per chunk, joined in chunk order: the next pass is the same
@@ -177,26 +183,21 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
                     c = chunks.popleft()
                 except IndexError:
                     return
-                p = todo[starts[c] : starts[c] + rows]
-                lo = np.minimum(np.maximum(p - width // 2, 0), n - width)
-                if lo[-1] - lo[0] == p[-1] - p[0] == p.size - 1:
+                s = slice(starts[c], starts[c] + rows)
+                p, first = todo[s], lo[s]
+                if first[-1] - first[0] == p[-1] - p[0] == p.size - 1:
                     # consecutive rows (todo is ascending): their windows are
                     # one strided view, read with no copy
-                    near, dist = windows[:, lo[0] : lo[-1] + 1], scratch[:, : p.size]
+                    near, dist = windows[:, first[0] : first[-1] + 1], scratch[:, : p.size]
                 else:
-                    near = dist = windows[:, lo]  # a copy, overwritten below
+                    near = dist = windows[:, first]  # a copy, overwritten below
                 np.subtract(planes[:, p, None], near, out=dist)
                 np.abs(dist, out=dist)
                 joint = np.maximum(dist[0], dist[1], out=dist[0])
-                joint[np.arange(p.size), p - lo] = np.inf  # exclude self
+                joint[np.arange(p.size), p - first] = np.inf  # exclude self
                 joint.partition(k - 1, axis=1)
                 e = joint[:, k - 1]
-                # exact once the nearest row outside the window on each side
-                # is at least e away in x, hence in the joint max-norm
-                below = xs[np.maximum(lo - 1, 0)]
-                above = xs[np.minimum(lo + width, n - 1)]
-                done = (lo == 0) | (np.abs(xs[p] - below) >= e)
-                done &= (lo + width == n) | (np.abs(xs[p] - above) >= e)
+                done = gap[s] >= e
                 eps[p[done]] = e[done]
                 unresolved[c] = p[~done]
 
