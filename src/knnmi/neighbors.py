@@ -16,11 +16,12 @@ point, the KSG "algorithm 1" convention. Consequences worth remembering:
 
 Two exact scans give bit-identical radii and counts; the shape picks one.
 Both share their work out in chunks to one thread per CPU in the process's
-affinity mask (numpy releases the GIL inside each array operation; a single
-chunk runs inline with no pool). Threads pop chunks in order from one queue,
-own their scratch and write disjoint rows of the result. Every reduction
-(max, partition, integer count) is order-independent, so results are
-bit-identical for any chunk size and thread count.
+affinity mask (numpy releases the GIL inside each array operation); the
+calling thread is one of them, so a single chunk starts no thread. Threads
+pop chunks in order from one queue, own their scratch and write disjoint
+rows of the result. Every reduction (max, partition, integer count) is
+order-independent, so results are bit-identical for any chunk size and
+thread count.
 
 At d_x = d_y = 1 (D = 2) the rows are sorted once by the coordinate with
 more distinct values, called x here (x itself on a tie; a run of tied keys
@@ -51,6 +52,7 @@ times slower on a 2-vCPU Xeon with 4 MiB of L2 per core.
 
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -314,25 +316,30 @@ def _share_out(worker, items) -> None:
     """Call worker(pending) in one thread per CPU, and in no more threads than items.
 
     pending is a deque of `items` shared by every call; each call pops from
-    its left until it is empty, so items are taken in order. A single call
-    runs inline, with no pool. numpy's error state is per thread, so each
-    call ignores float overflow in its own thread: an inf difference is not
-    an error (see the check after the scan).
+    its left until it is empty, so items are taken in order. The calling
+    thread makes one of the calls, so a single call starts no thread; plain
+    threads rather than a ThreadPoolExecutor, whose import and extra thread
+    raised peak RSS by about 1 MiB at N = 10000. numpy's error state is per
+    thread, so each call ignores float overflow in its own thread: an inf
+    difference is not an error (see the check after the scan). The first
+    exception of any call stops the hand-out and is raised here.
     """
     pending = deque(items)
-    workers = min(_cpu_count(), len(pending))
+    errors = []
 
     def run() -> None:
-        with np.errstate(over="ignore"):
-            worker(pending)
+        try:
+            with np.errstate(over="ignore"):
+                worker(pending)
+        except BaseException as exc:  # re-raised in the calling thread below
+            pending.clear()
+            errors.append(exc)
 
-    if workers <= 1:
-        run()
-        return
-    # imported on first use: it pulls in logging, about 10 ms that every
-    # import of the package (and every single-block scan) would pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        for future in [pool.submit(run) for _ in range(workers)]:
-            future.result()
+    helpers = [threading.Thread(target=run) for _ in range(min(_cpu_count(), len(pending)) - 1)]
+    for thread in helpers:
+        thread.start()
+    run()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]

@@ -167,6 +167,27 @@ def test_more_threads_than_cores_lose_no_block(monkeypatch):
         assert_matches_oracle(result[0], data, 3, f"d_x={d_x}")
 
 
+def test_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
+    # the calling thread makes one call of the hand-out and helper threads the
+    # others; a helper's exception must be raised in the caller after every
+    # helper has finished
+    monkeypatch.setattr(neighbors, "_cpu_count", lambda: 3)
+    before = threading.active_count()
+
+    def worker(pending):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("helper failed")
+        while True:
+            try:
+                pending.popleft()
+            except IndexError:
+                return
+
+    with pytest.raises(ValueError, match="helper failed"):
+        neighbors._share_out(worker, range(10))
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("name", [
     "grid", "coincident_below_k", "empty_y", "subnormal", "huge",
     "x_ties_d2", "coincident_below_k_d2", "subnormal_d2", "y_ties_d2",
