@@ -19,6 +19,7 @@ from .errors import (
 from .estimators import (
     EstimateReport,
     estimate,
+    estimate_backends,
     estimate_from_radii,
     nmi,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "RadiusOverflowError",
     "EstimateReport",
     "estimate",
+    "estimate_backends",
     "estimate_from_radii",
     "nmi",
     "ExperimentConfig",

@@ -28,6 +28,12 @@ from .errors import ConfigurationError
 GENERATOR_ID = "numpy-philox-4x64"
 
 
+def _check_seed(seed) -> None:
+    # Philox takes a 128-bit key; numpy rejects anything outside it only at generation
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**128:
+        raise ConfigurationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Componentwise-correlated Gaussian pairs with unit marginal variances."""
@@ -42,6 +48,7 @@ class GaussianSpec:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
+        _check_seed(self.seed)
         if not 0.0 <= self.rho < 1.0:
             raise ConfigurationError(
                 f"rho must lie in [0, 1) for generation, got {self.rho}"
@@ -62,6 +69,7 @@ class StudentTSpec:
             raise ConfigurationError(f"d must be >= 1, got {self.d}")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
+        _check_seed(self.seed)
         if not (self.nu > 0.0 and math.isfinite(self.nu)):
             raise ConfigurationError(f"nu must be positive, got {self.nu}")
 

@@ -8,6 +8,10 @@ with ln eps_tilde_i = ln eps_i - ln V the log of the scaled radius:
     h_xy     = -psi(k) + psi(N) + (d_x + d_y) < ln eps_tilde >
     nmi      = (h_x + h_y - h_xy) / sqrt(h_x * h_y)
 
+Backends differ only in ln V: estimate_backends computes the digamma terms,
+their means, mi_ksg and ln eps once, and per backend only ln V,
+< ln eps_tilde > and the entropy and NMI arithmetic.
+
 Note that h_x + h_y - h_xy cancels the < ln eps_tilde > terms and reduces
 algebraically to the KSG expression, so the normalization backend only
 ever influences the entropies (hence the NMI denominator). Both MI routes
@@ -34,7 +38,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import NonFiniteNormalizationError
 from .neighbors import RadiusSet, compute_knn_radii
-from .scaling import Backend, _sum_left_to_right, normalize
+from .scaling import Backend, NormalizationResult, _sum_left_to_right, normalize
 from .special import digamma
 
 
@@ -65,43 +69,41 @@ def nmi(mi: float, h_x: float, h_y: float) -> Optional[float]:
     return float(mi / math.sqrt(product))
 
 
-def estimate_from_radii(
-    radii: RadiusSet,
-    d_x: int,
-    d_y: int,
-    backend: Backend = Backend.PROPOSED,
-) -> EstimateReport:
-    """Assemble a full report from precomputed radii (shared across backends).
-
-    Raises NonFiniteNormalizationError if the backend's ln V is not finite
-    (the baseline's overflow mode).
+def estimate_backends(radii: RadiusSet, d_x: int, d_y: int, backends) -> list:
+    """One entry per backend, in order: its EstimateReport, or its
+    NormalizationResult when ln V is not finite (the baseline's overflow mode).
     """
-    norm = normalize(radii.epsilon, d_x + d_y, backend)
-    if not norm.finite:
-        raise NonFiniteNormalizationError(norm)
-    mean_ln = _sum_left_to_right(np.log(radii.epsilon) - norm.ln_v) / radii.n
+    results = [normalize(radii.epsilon, d_x + d_y, backend) for backend in backends]
+    # one digamma call: each element depends on its own argument alone
+    psi = digamma(np.concatenate(([float(radii.n), float(radii.k)], radii.n_x + 1.0, radii.n_y + 1.0)))
+    psi_n, psi_k = float(psi[0]), float(psi[1])
+    psi_x, psi_y = np.split(psi[2:], [radii.n_x.size])
+    mean_psi_x, mean_psi_y = float(np.mean(psi_x)), float(np.mean(psi_y))
+    mi_ksg = psi_n + psi_k - float(np.mean(psi_x + psi_y))
+    ln_eps = np.log(radii.epsilon)
 
-    psi_n = digamma(float(radii.n))
-    psi_k = digamma(float(radii.k))
-    psi_x = digamma(radii.n_x + 1.0)
-    psi_y = digamma(radii.n_y + 1.0)
+    def report(norm: NormalizationResult) -> EstimateReport:
+        mean_ln = _sum_left_to_right(ln_eps - norm.ln_v) / radii.n
+        h_x = -mean_psi_x + psi_n + d_x * mean_ln
+        h_y = -mean_psi_y + psi_n + d_y * mean_ln
+        h_xy = -psi_k + psi_n + (d_x + d_y) * mean_ln
+        mi_entropies = h_x + h_y - h_xy
+        return EstimateReport(
+            mi_ksg=mi_ksg, h_x=h_x, h_y=h_y, h_xy=h_xy, mi_from_entropies=mi_entropies,
+            nmi=nmi(mi_entropies, h_x, h_y), backend=norm.backend, n_samples=radii.n, k=radii.k,
+        )
 
-    h_x = -float(np.mean(psi_x)) + psi_n + d_x * mean_ln
-    h_y = -float(np.mean(psi_y)) + psi_n + d_y * mean_ln
-    h_xy = -psi_k + psi_n + (d_x + d_y) * mean_ln
-    mi_entropies = h_x + h_y - h_xy
+    return [report(norm) if norm.finite else norm for norm in results]
 
-    return EstimateReport(
-        mi_ksg=psi_n + psi_k - float(np.mean(psi_x + psi_y)),
-        h_x=h_x,
-        h_y=h_y,
-        h_xy=h_xy,
-        mi_from_entropies=mi_entropies,
-        nmi=nmi(mi_entropies, h_x, h_y),
-        backend=Backend(backend),
-        n_samples=radii.n,
-        k=radii.k,
-    )
+
+def estimate_from_radii(
+    radii: RadiusSet, d_x: int, d_y: int, backend: Backend = Backend.PROPOSED
+) -> EstimateReport:
+    """estimate_backends with one backend; a non-finite ln V raises NonFiniteNormalizationError."""
+    (result,) = estimate_backends(radii, d_x, d_y, [backend])
+    if not isinstance(result, EstimateReport):
+        raise NonFiniteNormalizationError(result)
+    return result
 
 
 def estimate(

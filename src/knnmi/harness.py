@@ -2,9 +2,10 @@
 
 A sweep iterates cells (dimension x grid point), repeats each cell with
 derived seeds, and estimates every repetition with each configured
-backend. The SAME dataset and k-NN radii are shared by all backends within
-a repetition (verified downstream via the dataset checksum column), so
-backend comparisons are paired. Baseline overflow is caught and recorded
+backend. The SAME dataset, k-NN radii and digamma statistics are shared by
+all backends within a repetition (the dataset checksum column verifies the
+pairing downstream), so backend comparisons are paired and each backend
+adds only its ln V and entropy arithmetic. Baseline overflow is recorded
 as a status, never aborting the sweep.
 
 Cell seeds are derived by hashing the cell coordinates (sha256), making
@@ -26,10 +27,10 @@ import numpy as np
 
 from .datagen import GaussianSpec, StudentTSpec, generate_gaussian, generate_student_t
 from .dataset import dataset_checksum
-from .errors import ConfigurationError, DuplicatePointError, NonFiniteNormalizationError
-from .estimators import estimate_from_radii
+from .errors import ConfigurationError, DuplicatePointError
+from .estimators import estimate_backends
 from .neighbors import compute_knn_radii
-from .scaling import Backend, normalize
+from .scaling import Backend, NormalizationResult, normalize
 from .truth import gaussian_truth, student_t_truth
 
 GAUSSIAN = "gaussian"
@@ -215,32 +216,26 @@ def run_sweep(config: ExperimentConfig) -> list:
             nmi_true = _truth_nmi(config, d, param)
             for rep in range(config.repetitions):
                 seed = derive_seed(config.base_seed, config.family, d, param, rep)
-                shared_start = time.perf_counter()
+                start = time.perf_counter()
                 data = _generate(config, d, param_gen, seed)
                 checksum = dataset_checksum(data)
                 try:
                     radii = compute_knn_radii(data, config.k)
                 except DuplicatePointError:
-                    radii = None
-                shared_ms = (time.perf_counter() - shared_start) * 1000.0
+                    results = [None] * len(config.backends)
+                else:
+                    results = estimate_backends(radii, d, d, config.backends)
+                wall_time_ms = (time.perf_counter() - start) * 1000.0
 
-                for backend in config.backends:
-                    start = time.perf_counter()
+                for backend, result in zip(config.backends, results):
                     values = dict.fromkeys(_ESTIMATE_FIELDS)
-                    if radii is None:
+                    if result is None:
                         status = Status.DUPLICATE_POINTS
+                    elif isinstance(result, NormalizationResult):
+                        status = Status.OVERFLOW
                     else:
-                        try:
-                            report = estimate_from_radii(radii, d, d, backend)
-                        except NonFiniteNormalizationError:
-                            status = Status.OVERFLOW
-                        else:
-                            values = {name: getattr(report, name) for name in _ESTIMATE_FIELDS}
-                            if report.nmi is None:
-                                status = Status.UNDEFINED_NMI
-                            else:
-                                status = Status.OK
-                    elapsed_ms = (time.perf_counter() - start) * 1000.0
+                        values = {name: getattr(result, name) for name in _ESTIMATE_FIELDS}
+                        status = Status.OK if result.nmi is not None else Status.UNDEFINED_NMI
                     records.append(
                         RunRecord(
                             family=config.family,
@@ -253,7 +248,7 @@ def run_sweep(config: ExperimentConfig) -> list:
                             status=status.value,
                             nmi_true=nmi_true,
                             dataset_checksum=checksum,
-                            wall_time_ms=shared_ms + elapsed_ms,
+                            wall_time_ms=wall_time_ms,
                             **values,
                         )
                     )

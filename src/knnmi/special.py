@@ -58,7 +58,8 @@ def _polyval(coeffs, r):
     # Horner in r = 1/x**2, highest order first
     acc = np.zeros_like(r)
     for c in reversed(coeffs):
-        acc = acc * r + c
+        acc *= r
+        acc += c
     return acc
 
 
@@ -66,15 +67,14 @@ def digamma(x):
     """Digamma function psi(x) for positive real x (scalar or array)."""
     arr = _validated(x, "digamma")
     scalar = arr.ndim == 0
-    work = np.atleast_1d(arr).copy()
+    work = arr.reshape(-1).copy()  # flat: the shift loop indexes it
     acc = np.zeros_like(work)
 
-    while True:
-        small = work < _SHIFT_THRESHOLD
-        if not small.any():
-            break
+    small = np.flatnonzero(work < _SHIFT_THRESHOLD)
+    while small.size:
         acc[small] -= 1.0 / work[small]
         work[small] += 1.0
+        small = small[work[small] < _SHIFT_THRESHOLD]
 
     inv = 1.0 / work
     r = inv * inv

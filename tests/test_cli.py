@@ -30,6 +30,18 @@ def test_gen_student_t(tmp_path):
     assert dataset_from_csv(out).n == 30
 
 
+def test_gen_seed_range(tmp_path, capsys):
+    # Philox takes keys in [0, 2**128); both ends are named before numpy sees them
+    out = tmp_path / "s.csv"
+    for family, param in (("gaussian", ("--rho", "0.5")), ("student_t", ("--nu", "1.0"))):
+        for seed, code in ((0, 0), (2**128 - 1, 0), (-1, 1), (2**128, 1)):
+            capsys.readouterr()
+            assert run_cli("gen", "--family", family, "--d", "1", *param, "--n", "10",
+                           "--seed", str(seed), "--out", str(out)) == code, (family, seed)
+            if code:
+                assert "seed must be an integer in [0, 2**128)" in capsys.readouterr().err
+
+
 def test_gen_requires_family_parameter(tmp_path):
     out = tmp_path / "x.csv"
     assert run_cli("gen", "--family", "gaussian", "--d", "1",

@@ -81,6 +81,24 @@ class TestStudentT:
             StudentTSpec(d=1, nu=-2.0, n=10, seed=0)
 
 
+@pytest.mark.parametrize("spec", [
+    lambda seed: GaussianSpec(d=1, rho=0.5, n=10, seed=seed),
+    lambda seed: StudentTSpec(d=1, nu=1.0, n=10, seed=seed),
+])
+class TestSeedRange:
+    # Philox keys are 128-bit unsigned integers
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1, np.uint64(2**64 - 1), np.int8(3)])
+    def test_accepted(self, spec, seed):
+        data = spec(seed)
+        made = generate_gaussian(data) if isinstance(data, GaussianSpec) else generate_student_t(data)
+        assert made.n == 10
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, np.int64(-5), True, 1.0, "1", None])
+    def test_rejected(self, spec, seed):
+        with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*128\)"):
+            spec(seed)
+
+
 class TestCsvInterchange:
     def test_round_trip_is_exact(self, tmp_path):
         data = generate_gaussian(GaussianSpec(d=3, rho=0.4, n=50, seed=3))

@@ -11,11 +11,12 @@ from knnmi.dataset import Dataset
 from knnmi.errors import NonFiniteNormalizationError
 from knnmi.estimators import (
     estimate,
+    estimate_backends,
     estimate_from_radii,
     nmi,
 )
 from knnmi.neighbors import RadiusSet, compute_knn_radii
-from knnmi.scaling import Backend
+from knnmi.scaling import Backend, NormalizationResult
 from knnmi.special import digamma
 
 
@@ -184,6 +185,30 @@ class TestReportAssembly:
             for value in (r.mi_ksg, r.h_x, r.h_y, r.h_xy, r.mi_from_entropies):
                 assert math.isfinite(value)
             assert r.nmi is None or math.isfinite(r.nmi)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(radii=radius_sets(), d_joint=st.integers(1, 2**20), data=st.data())
+    def test_shared_assembly_matches_one_backend_calls(self, radii, d_joint, data):
+        # any order, repeats allowed: each entry is bitwise what a separate
+        # one-backend call gives, or the non-finite ln V it raises with
+        d_x = data.draw(st.integers(0, d_joint))
+        backends = data.draw(st.lists(st.sampled_from(list(Backend)), min_size=1, max_size=5))
+        results = estimate_backends(radii, d_x, d_joint - d_x, backends)
+        assert len(results) == len(backends)
+        for backend, result in zip(backends, results):
+            try:
+                alone = estimate_from_radii(radii, d_x, d_joint - d_x, backend)
+            except NonFiniteNormalizationError as exc:
+                assert isinstance(result, NormalizationResult) and not result.finite
+                assert result == exc.result
+                continue
+            assert result.backend is backend
+            for field in ("mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies", "nmi"):
+                got, want = getattr(result, field), getattr(alone, field)
+                assert (got is None) == (want is None), field
+                if want is not None:
+                    assert float.hex(got) == float.hex(want), field
+            assert (result.n_samples, result.k) == (alone.n_samples, alone.k)
 
     def test_report_metadata(self):
         r = estimate(gaussian_pair(300, 1, 0.2, 1), k=7, backend=Backend.DOMINANT_TERM)

@@ -215,16 +215,33 @@ class TestRunSweep:
     def test_undefined_nmi_recorded(self, monkeypatch):
         import knnmi.harness as harness
 
-        real = harness.estimate_from_radii
+        real = harness.estimate_backends
 
-        def degenerate(radii, d_x, d_y, backend):
-            report = real(radii, d_x, d_y, backend)
-            return dataclasses.replace(report, h_x=-abs(report.h_x), nmi=None)
+        def degenerate(radii, d_x, d_y, backends):
+            return [dataclasses.replace(report, h_x=-abs(report.h_x), nmi=None)
+                    for report in real(radii, d_x, d_y, backends)]
 
-        monkeypatch.setattr(harness, "estimate_from_radii", degenerate)
+        monkeypatch.setattr(harness, "estimate_backends", degenerate)
         records = run_sweep(small_config(repetitions=1, rho_grid=[0.0], backends=["proposed"]))
         assert [r.status for r in records] == [Status.UNDEFINED_NMI.value]
         assert records[0].h_x is not None and records[0].nmi is None
+
+
+    def test_one_digamma_call_per_repetition(self, monkeypatch):
+        import knnmi.estimators as estimators
+
+        sizes = []
+        real = estimators.digamma
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return real(x)
+
+        monkeypatch.setattr(estimators, "digamma", counted)
+        cfg = small_config(rho_grid=[0.6], repetitions=1, backends=["baseline", "proposed", "dominant"])
+        records = run_sweep(cfg)
+        assert [r.status for r in records] == [Status.OK.value] * 3
+        assert sizes == [2 + 2 * cfg.n]  # psi(N), psi(k), psi(n_x + 1), psi(n_y + 1)
 
 
 class TestSummarize:

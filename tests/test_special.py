@@ -90,6 +90,19 @@ def test_array_input_matches_scalar():
     assert digamma(np.array([[1.0, 2.0], [3.0, 4.0]])).shape == (2, 2)
 
 
+def test_one_call_over_a_concatenation_matches_separate_calls():
+    # the estimators join psi(N), psi(k) and both count arrays into one call
+    g = np.random.default_rng(8)
+    for n in range(1, 301):
+        counts_x = g.integers(0, n + 1, n) + 1.0
+        counts_y = g.integers(0, n + 1, n) + 1.0
+        joined = digamma(np.concatenate(([float(n), 5.0], counts_x, counts_y)))
+        assert joined[0].tobytes() == np.float64(digamma(float(n))).tobytes()
+        assert joined[1].tobytes() == np.float64(digamma(5.0)).tobytes()
+        assert joined[2 : n + 2].tobytes() == digamma(counts_x).tobytes(), n
+        assert joined[n + 2 :].tobytes() == digamma(counts_y).tobytes(), n
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("fn", [digamma, ln_gamma])
 def test_domain_errors(fn, bad):
