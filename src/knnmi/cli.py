@@ -42,6 +42,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+def _number(token: str, cast):
+    """cast(token), or a ConfigurationError that names the token."""
+    try:
+        return cast(token)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigurationError(f"expected {kind}, got {token!r}") from None
+
+
 def _parse_number_list(text: str, cast):
     """Comma-separated numbers; dims also accept start:stop:step ranges."""
     values = []
@@ -53,12 +62,12 @@ def _parse_number_list(text: str, cast):
             parts = token.split(":")
             if len(parts) != 3:
                 raise ConfigurationError(f"range token must be start:stop:step, got {token!r}")
-            start, stop, step = (int(p) for p in parts)
+            start, stop, step = (_number(p, int) for p in parts)
             if step < 1:
                 raise ConfigurationError(f"range step must be positive in {token!r}")
             values.extend(range(start, stop + 1, step))
         else:
-            values.append(cast(token))
+            values.append(_number(token, cast))
     if not values:
         raise ConfigurationError(f"empty number list: {text!r}")
     return values

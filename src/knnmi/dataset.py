@@ -114,5 +114,19 @@ def dataset_from_csv(path, d_x=None, d_y=None) -> Dataset:
         parts = line.split(",")
         if len(parts) != n_cols:
             raise ConfigurationError(f"{path}: row {i + 2} has {len(parts)} fields")
-        values[i] = [float(p) for p in parts]
+        try:
+            values[i] = [float(p) for p in parts]
+        except ValueError:
+            j = next(j for j, p in enumerate(parts) if not _is_number(p))
+            raise ConfigurationError(
+                f"{path}: row {i + 2}, column {j + 1} ({names[j]}): not a number: {parts[j]!r}"
+            ) from None
     return Dataset(x=values[:, :d_x], y=values[:, d_x:])
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

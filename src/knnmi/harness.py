@@ -66,6 +66,17 @@ def _integer(name: str, value, low=None) -> int:
     return int(value)
 
 
+def _dims(values) -> list:
+    """values as a non-empty list of ints >= 1; ConfigurationError(_DIMS_RULE) otherwise."""
+    try:
+        dims = [_integer("dims entry", d, 1) for d in values]
+    except ConfigurationError:
+        raise ConfigurationError(_DIMS_RULE) from None
+    if not dims:
+        raise ConfigurationError(_DIMS_RULE)
+    return dims
+
+
 def _is_list_of(values, kinds) -> bool:
     """True for a list whose entries are all of `kinds`; bool is never a number here."""
     return isinstance(values, list) and all(
@@ -94,12 +105,9 @@ class ExperimentConfig:
             self.dims = list(
                 DEFAULT_GAUSSIAN_DIMS if self.family == GAUSSIAN else DEFAULT_STUDENT_T_DIMS
             )
-        if not isinstance(self.dims, list) or not self.dims:
+        if not isinstance(self.dims, list):
             raise ConfigurationError(_DIMS_RULE)
-        try:
-            self.dims = [_integer("dims entry", d, 1) for d in self.dims]
-        except ConfigurationError:
-            raise ConfigurationError(_DIMS_RULE) from None
+        self.dims = _dims(self.dims)
         if self.family == GAUSSIAN:
             if self.rho_grid is None:
                 self.rho_grid = list(DEFAULT_RHO_GRID)
@@ -318,11 +326,8 @@ STABILITY_COLUMNS = [f.name for f in fields(StabilityRow)]
 
 def stability_profile(epsilon, dims) -> list:
     """Evaluate all three ln V backends over a dimension sweep of fixed radii."""
-    dims = [int(d) for d in dims]
-    if not dims or any(d < 1 for d in dims):
-        raise ConfigurationError(_DIMS_RULE)
     rows = []
-    for d in dims:
+    for d in _dims(dims):
         for backend in Backend:
             result = normalize(epsilon, d, backend)
             rows.append(

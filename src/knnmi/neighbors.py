@@ -14,14 +14,16 @@ point, the KSG "algorithm 1" convention. Consequences worth remembering:
   compares correctly against a finite epsilon; an epsilon that itself
   overflows is a hard error.
 
-Two exact scans give bit-identical radii and counts; the shape picks one.
-Both share their work out in chunks to one thread per CPU in the process's
-affinity mask (numpy releases the GIL inside each array operation); the
-calling thread is one of them, so a single chunk starts no thread. Threads
-pop chunks in order from one queue, own their scratch and write disjoint
-rows of the result. Every reduction (max, partition, integer count) is
-order-independent, so results are bit-identical for any chunk size and
-thread count.
+Three exact scans give bit-identical radii and counts, and the shape picks
+one: the sorted window at d_x = d_y = 1 (D = 2), the pair-once scan at any
+other D while n * n <= _SCRATCH_ELEMS (n <= 256), and brute force above
+that. The sorted window and brute force share their work out in chunks to
+one thread per CPU in the process's affinity mask (numpy releases the GIL
+inside each array operation); the calling thread is one of them, so a
+single chunk starts no thread. Threads pop chunks in order from one queue,
+own their scratch and write disjoint rows of the result. Every reduction
+(max, partition, integer count) is order-independent, so results are
+bit-identical for any chunk size and thread count.
 
 At d_x = d_y = 1 (D = 2) the rows are sorted once by the coordinate with
 more distinct values, called x here (x itself on a tie; a run of tied keys
@@ -41,13 +43,29 @@ is the simplest form of the box-assisted search of Kraskov, Stoegbauer and
 Grassberger (PRE 69, 066138, 2004). On Gaussian data at N = 10000 a row's
 k-th neighbour lies among a few hundred x-sorted rows, not N.
 
-Every other shape uses brute force over all pairs: samples are transposed to
+Brute force scans all ordered pairs: samples are transposed to
 feature-major layout once, then each feature's |a_i - a_j| plane is folded
 into a running max, blocked over query rows (reducing over a short last
 axis would hit numpy's slow strided path). A block's four float planes and
 one bool plane are sized to stay in a core's L2 cache: every ufunc pass
 re-reads them, and planes that spill to memory made the scan two to three
 times slower on a 2-vCPU Xeon with 4 MiB of L2 per core.
+
+The pair-once scan computes each unordered pair once, in circular order:
+for offsets t = 1..n // 2, row t - 1 of a marginal's plane holds
+max_f |a_f[i] - a_f[(i + t) % n]| for every sample i, read from one sliding
+window over the wrapped features. Sample i's distances at the other
+n - 1 - n // 2 offsets are the distances at offset n - t of sample
+(i + t) % n; fl(a - b) = -fl(b - a), so they are the same numbers brute
+force computes from the other end, and they are copied in through a skewed
+view of the same rows. Column i of the (n - 1, n) plane then holds sample
+i's distance to every other sample, self excluded; the joint plane is the
+max of the marginal planes and is partitioned down its columns, and the
+marginal counts are sums down the columns. Each feature costs one
+subtract, abs and max over n // 2 rows where brute force needs n, so at
+N = 200, k = 5 the scan takes 0.6 of brute force's time at
+d_x = d_y = 64 and 0.9 at d_x = d_y = 2, where the partition and the
+compares it shares with brute force dominate. It starts no thread.
 """
 
 import math
@@ -66,7 +84,9 @@ from .errors import ConfigurationError, DuplicatePointError, RadiusOverflowError
 # thread's four float planes and one bool plane fit in 4 MiB of L2; fastest
 # of 2**15..2**18 measured at (N, d) = (10000, 1), (10000, 8), (1000, 512).
 # Sorted window: per scan, split evenly over the threads, so that threading
-# holds no more memory than one thread did. Output is the same for any value
+# holds no more memory than one thread did. Pair once: taken at D != 2 when
+# a whole (n, n) plane fits (n <= 256), so that its (n - 1, n) planes are no
+# larger than brute force's one block. Output is the same for any value
 _SCRATCH_ELEMS = 2**16
 
 # sorted-window scan: the first window spans _FIRST_WINDOW * sqrt(k N) rows
@@ -127,14 +147,19 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
     Either error names the first failing sample in row order.
     """
     n = data.n
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     if k >= n:
         raise ConfigurationError(
             f"k = {k} requires at least k + 1 = {k + 1} samples, got {n}"
         )
 
-    scan = _sorted_window_scan if data.d_x == data.d_y == 1 else _brute_force_scan
+    if data.d_x == data.d_y == 1:
+        scan = _sorted_window_scan
+    elif n * n <= _SCRATCH_ELEMS:
+        scan = _pair_once_scan
+    else:
+        scan = _brute_force_scan
     epsilon, n_x, n_y = scan(data.x, data.y, int(k))
 
     bad = np.flatnonzero((epsilon == 0.0) | (epsilon == np.inf))
@@ -242,6 +267,72 @@ def _count_within(sorted_values: np.ndarray, values: np.ndarray, eps: np.ndarray
             j[ahead] = np.searchsorted(sorted_values, padded[j[ahead] + 1], "right")
         edges.append(j)
     return edges[1] - edges[0] - 1
+
+
+@np.errstate(over="ignore")
+def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
+    """(epsilon, n_x, n_y) from each unordered pair's distance, computed once."""
+    n = x.shape[0]
+    half, rest = n // 2, n - 1 - n // 2  # offsets computed; offsets read back
+    d_x, d_y = x.shape[1], y.shape[1]
+    # features[f, i] = a_f[i % n] for i < n + half, so that
+    # windows[f, t - 1, i] = features[f, i + t] = a_f[(i + t) % n] for t = 1..half;
+    # built by the ndarray constructor, which checks the view against the
+    # buffer: sliding_window_view took 20 us per call, and 130 us under the
+    # benchmark's tracemalloc. Filled in place: a transposing copy of the
+    # wrapped joint array took 2.5 times as long at d_x = d_y = 64
+    features = np.empty((d_x + d_y, n + half))
+    features[:d_x, :n] = x.T
+    features[d_x:, :n] = y.T
+    features[:, n:] = features[:, :half]
+    step = features.itemsize
+    windows = np.ndarray(
+        (len(features), half + 1, n), features.dtype, features,
+        strides=(features.strides[0], step, step),
+    )[:, 1:]
+
+    # dist[m, r, i] = marginal m's distance from sample i to sample (i + r + 1) % n
+    # for r < half, and to sample (i - (r - half) - 1) % n after that: column i
+    # holds sample i's distance to every other sample once
+    dist = np.empty((2, n - 1, n))
+    plane = np.empty((half, n))
+    # wrapped[:, c] = dist[m, :half, (c - rest) % n], so that skew[r, i] =
+    # wrapped[r, i + rest - 1 - r] is sample i's distance to sample (i - r - 1) % n:
+    # rows rest + n - 1 apart in the flat buffer (n = 2 reads nothing back)
+    wrapped = np.empty((half, rest + n))
+    skew = wrapped.reshape(-1)[max(rest - 1, 0) :][: rest * (rest + n - 1)]
+    skew = skew.reshape(rest, rest + n - 1)[:, :n]
+    for m, features_m in enumerate((range(d_x), range(d_x, d_x + d_y))):
+        top = dist[m, :half]
+        if not features_m:
+            dist[m].fill(0.0)
+            continue
+        for f in features_m:
+            out = top if f == features_m[0] else plane
+            np.subtract(features[f, :n], windows[f], out=out)
+            np.abs(out, out=out)
+            if out is plane:
+                np.maximum(top, plane, out=top)
+        # fl(a - b) = -fl(b - a), so the read-back distances are the ones that
+        # brute force computes from the other end of each pair
+        wrapped[:, rest:] = top
+        wrapped[:, :rest] = top[:, n - rest :]
+        dist[m, half:] = skew
+
+    dist_joint = np.maximum(dist[0], dist[1])
+    dist_joint.partition(k - 1, axis=0)
+    epsilon = dist_joint[k - 1].copy()
+
+    # a column holds n - 1 distances, so its count fits the smallest type that
+    # holds n - 1; summing bytes in it (uint8 up to n = 256) down the columns
+    # is about four times faster than count_nonzero there
+    inside = np.empty((n - 1, n), dtype=bool)
+    tally = np.min_scalar_type(n - 1)
+    counts = []
+    for dist_m in dist:
+        np.less(dist_m, epsilon, out=inside)
+        counts.append(inside.view(np.uint8).sum(axis=0, dtype=tally).astype(np.int64))
+    return epsilon, *counts
 
 
 def _brute_force_scan(x: np.ndarray, y: np.ndarray, k: int):

@@ -165,6 +165,26 @@ def test_bad_flags_are_config_errors():
                    "--out", "/tmp/x.csv") == 1
 
 
+def test_bad_numbers_in_flags_are_named(tmp_path, capsys):
+    out = str(tmp_path / "s.csv")
+    for flags, named in (
+        (("--epsilon", "1,2", "--dims", "2.5"), "expected an integer, got '2.5'"),
+        (("--epsilon", "1,abc", "--dims", "2"), "expected a number, got 'abc'"),
+        (("--epsilon", "1", "--dims", "2:x:2"), "expected an integer, got 'x'"),
+    ):
+        capsys.readouterr()
+        assert run_cli("stability", *flags, "--out", out) == 1, flags
+        assert capsys.readouterr().err == f"error: {named}\n", flags
+
+
+def test_estimate_bad_cell_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("x_1,y_1\n0.5,1.0\n2.0,abc\n")
+    assert run_cli("estimate", "--data", str(path), "--k", "1") == 1
+    err = capsys.readouterr().err
+    assert "row 3, column 2 (y_1): not a number: 'abc'" in err and str(path) in err
+
+
 def test_unknown_backend_is_config_error(tmp_path):
     path = tmp_path / "d.csv"
     run_cli("gen", "--family", "gaussian", "--d", "1", "--rho", "0.0",

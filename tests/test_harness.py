@@ -343,6 +343,16 @@ class TestStabilityProfile:
         with pytest.raises(ConfigurationError):
             stability_profile([1.0], [])
 
+    @pytest.mark.parametrize("dims", [[2.5, True], [True], [2, 0], [2.0], ["2"]])
+    def test_dims_entries_must_be_positive_integers(self, dims):
+        # int() would turn 2.5 into 2 and True into 1 and profile the wrong dimensions
+        with pytest.raises(ConfigurationError, match="dims must be a non-empty list"):
+            stability_profile([1.0, 2.0], dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        rows = stability_profile([1.0, 2.0], np.array([2, 4]))
+        assert [r.d_joint for r in rows] == [2, 2, 2, 4, 4, 4]
+
 
 class TestFileFormats:
     def test_records_csv_round_trip(self, tmp_path):

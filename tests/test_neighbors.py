@@ -40,10 +40,12 @@ def random_dataset(rng, n, d_x, d_y):
 def pin_scan(monkeypatch, scratch, workers):
     """Give the scans `scratch` doubles per plane and up to `workers` threads.
 
-    Brute force then takes query blocks of scratch // n rows (at least 8), and
-    the sorted-window scan chunks of scratch // (width * workers) rows (at
-    least 1). Its first window is pinned to k + 1 rows and doubles each pass,
-    so that most rows of a small sample take several passes.
+    At D != 2 compute_knn_radii then takes the pair-once scan when
+    n * n <= scratch and brute force otherwise. Brute force takes query
+    blocks of scratch // n rows (at least 8), and the sorted-window scan
+    chunks of scratch // (width * workers) rows (at least 1). Its first
+    window is pinned to k + 1 rows and doubles each pass, so that most rows
+    of a small sample take several passes.
     """
     monkeypatch.setattr(neighbors, "_SCRATCH_ELEMS", scratch)
     monkeypatch.setattr(neighbors, "_cpu_count", lambda: workers)
@@ -51,18 +53,19 @@ def pin_scan(monkeypatch, scratch, workers):
     monkeypatch.setattr(neighbors, "_WINDOW_GROWTH", 2)
 
 
-# the two scans behind compute_knn_radii; d_x = d_y = 1 selects the first
-SCANS = ("sorted_window", "brute_force")
+# the three scans behind compute_knn_radii; the first runs only at d_x = d_y = 1
+SCANS = ("sorted_window", "pair_once", "brute_force")
 
 
 def use_scan(m, scan):
-    """Route compute_knn_radii at d_x = d_y = 1 through `scan` (one of SCANS)."""
-    if scan == "brute_force":
-        m.setattr(neighbors, "_sorted_window_scan", neighbors._brute_force_scan)
+    """Route compute_knn_radii through `scan` (one of SCANS) whatever the shape."""
+    chosen = getattr(neighbors, f"_{scan}_scan")
+    for name in SCANS:
+        m.setattr(neighbors, f"_{name}_scan", chosen)
 
 
 def scans_for(data):
-    """Both scans where the shape has two, else the one brute-force scan."""
+    """Every scan at d_x = d_y = 1, else the two that take any shape."""
     return SCANS if data.d_x == data.d_y == 1 else SCANS[1:]
 
 
@@ -132,12 +135,12 @@ def test_matches_naive_oracle_exactly(n, d_x, d_y, k, monkeypatch):
     # brute force: blocks of the 8-row floor, of 13 rows (an uneven last
     # block for every n here) and of the whole sample; sorted window: several
     # chunks in every pass, then one chunk in most passes. Each with 1, 2 and
-    # 3 threads
+    # 3 threads. The pair-once scan has no blocks and starts no thread
     rng = np.random.default_rng(n * 1000 + k)
     data = random_dataset(rng, n, d_x, d_y)
     for scan in scans_for(data):
-        for rows in (1, 13, n):
-            for workers in (1, 2, 3):
+        for rows in (1, 13, n) if scan != "pair_once" else (n,):
+            for workers in (1, 2, 3) if scan != "pair_once" else (1,):
                 with monkeypatch.context() as m:
                     use_scan(m, scan)
                     pin_scan(m, rows * n, workers)
@@ -329,16 +332,24 @@ def test_overflowing_radius_is_a_typed_error(workers, monkeypatch):
 
 
 def test_scan_is_chosen_by_shape(monkeypatch):
-    # d_x = d_y = 1 takes the sorted-window scan, every other shape brute force
-    def refuse(*args):
-        raise AssertionError("brute-force scan used")
-
+    # d_x = d_y = 1 takes the sorted-window scan at any n; every other shape
+    # takes the pair-once scan while n * n <= _SCRATCH_ELEMS (n <= 256) and
+    # brute force above that
+    used = []
+    for scan in SCANS:
+        real = getattr(neighbors, f"_{scan}_scan")
+        monkeypatch.setattr(
+            neighbors, f"_{scan}_scan", lambda *args, s=scan, f=real: (used.append(s), f(*args))[1]
+        )
     rng = np.random.default_rng(43)
-    monkeypatch.setattr(neighbors, "_brute_force_scan", refuse)
-    compute_knn_radii(random_dataset(rng, 30, 1, 1), 2)
-    for d_x, d_y in ((2, 1), (1, 2), (1, 0)):
-        with pytest.raises(AssertionError, match="brute-force scan used"):
-            compute_knn_radii(random_dataset(rng, 30, d_x, d_y), 2)
+    for n, d_x, d_y, want in (
+        (30, 1, 1, "sorted_window"), (300, 1, 1, "sorted_window"),
+        (30, 2, 1, "pair_once"), (30, 1, 2, "pair_once"), (30, 1, 0, "pair_once"),
+        (256, 2, 1, "pair_once"), (257, 2, 1, "brute_force"), (257, 1, 0, "brute_force"),
+    ):
+        used.clear()
+        compute_knn_radii(random_dataset(rng, n, d_x, d_y), 2)
+        assert used == [want], (n, d_x, d_y)
 
 
 @pytest.mark.parametrize("n, k", [(500, 1), (2000, 5), (2000, 40)])
@@ -356,6 +367,36 @@ def test_sorted_window_scan_equals_brute_force(n, k, monkeypatch):
             got = neighbors._sorted_window_scan(x, y, k)
         for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
             np.testing.assert_array_equal(a, b, err_msg=f"{name} workers={workers}")
+
+
+@pytest.mark.parametrize("d_x, d_y", [(1, 0), (0, 2), (1, 1), (2, 1), (1, 3)])
+def test_pair_once_scan_matches_oracle_exhaustively(d_x, d_y, monkeypatch):
+    # every n from 2 to 12 and every k < n, on normal data and on integer
+    # data in 0..2, where ties at eps and duplicates abound. At even n the
+    # offset n / 2 reaches each of its pairs from both ends, so none of its
+    # distances is read back; odd n have no such offset
+    rng = np.random.default_rng(47)
+    use_scan(monkeypatch, "pair_once")
+    for n in range(2, 13):
+        for data in (
+            random_dataset(rng, n, d_x, d_y),
+            Dataset(rng.integers(0, 3, (n, d_x)).astype(float),
+                    rng.integers(0, 3, (n, d_y)).astype(float)),
+        ):
+            for k in range(1, n):
+                assert_scan_agrees_with_oracle(data, k, f"n={n} k={k}")
+
+
+def test_pair_once_scan_equals_brute_force_up_to_256_rows():
+    # the largest sample that takes the pair-once scan, and an odd one
+    rng = np.random.default_rng(53)
+    for n, d_x, d_y, k in ((256, 8, 8, 5), (255, 3, 0, 20), (201, 64, 64, 1)):
+        x, y = rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y))
+        got = neighbors._pair_once_scan(x, y, k)
+        want = neighbors._brute_force_scan(x, y, k)
+        for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=f"{name} n={n}")
 
 
 def test_sorted_window_scan_sorts_by_the_more_distinct_coordinate(monkeypatch):
@@ -465,6 +506,14 @@ def test_k_out_of_range():
     for bad in (0, -1, 10, 11):
         with pytest.raises(ConfigurationError):
             compute_knn_radii(data, bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 2.0, "2"])
+def test_k_must_be_an_integer_not_a_bool(bad):
+    # True == 1 as an int, but a flag passed as k is a caller's mistake
+    data = random_dataset(np.random.default_rng(5), 10, 2, 1)
+    with pytest.raises(ConfigurationError, match="k must be a positive integer"):
+        compute_knn_radii(data, bad)
 
 
 def test_dataset_validation():
