@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: sweep, summarize, stability, gen, estimate.
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 internal error.
+Exit codes: 0 success; 1 input the program cannot use (any ConfigurationError:
+flags, config, data or records file, duplicate points, an overflowing radius);
+2 I/O error; 3 internal error (every other exception).
 """
 
 import argparse
@@ -179,14 +181,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         args.run(args)
-    except ValueError as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -1,11 +1,12 @@
-"""Paired-sample container and its CSV interchange format.
+"""Paired-sample container and the CSV dialect of every knnmi file.
 
-The CSV layout is the cross-implementation contract: one header line
-``x_1,...,x_dx,y_1,...,y_dy``, one sample per row, floats written with
-full round-trip precision.
+The dialect: ASCII, ``\n`` line ends, a header of column names, floats as
+``repr`` (full round-trip precision), None as an empty field and bools as
+``true``/``false``. A dataset's header is ``x_1,...,x_dx,y_1,...,y_dy``.
 """
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,18 +67,63 @@ def dataset_checksum(data: Dataset) -> str:
     return h.hexdigest()[:16]
 
 
-def csv_header(d_x: int, d_y: int) -> str:
-    cols = [f"x_{j}" for j in range(1, d_x + 1)] + [f"y_{j}" for j in range(1, d_y + 1)]
-    return ",".join(cols)
+def write_csv(path, columns, rows) -> None:
+    """Write a header of `columns` and one line per row of cells."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def read_csv(path, casts):
+    """(column names, rows); each row is parsed as it is iterated.
+
+    `casts` is zipped with each row's fields: one parser per column, or
+    itertools.repeat(float) for all. Rows are counted by file line and blank
+    lines skipped. Non-ASCII bytes, no header, a wrong field count or a cell
+    its cast refuses raise ConfigurationError.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not an ASCII file ({exc})") from None
+    names = lines[0].strip().split(",") if lines else [""]
+    if names == [""]:
+        raise ConfigurationError(f"{path}: empty or headerless CSV")
+    return names, _rows(path, names, lines, casts)
+
+
+def _rows(path, names, lines, casts):
+    for row_no, line in enumerate(itertools.islice(lines, 1, None), start=2):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(names):
+            raise ConfigurationError(f"{path}: row {row_no} has {len(cells)} fields")
+        row = []
+        for name, cast, cell in zip(names, casts, cells):
+            try:
+                row.append(cast(cell))
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: row {row_no}, column {len(row) + 1} ({name}): not a number: {cell!r}"
+                ) from None
+        yield row
 
 
 def dataset_to_csv(data: Dataset, path) -> None:
     """Write the dataset with full round-trip float precision."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(csv_header(data.d_x, data.d_y) + "\n")
-        joint = data.joint()
-        for row in joint:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    columns = [f"x_{j}" for j in range(1, data.d_x + 1)] + [f"y_{j}" for j in range(1, data.d_y + 1)]
+    write_csv(path, columns, map(np.ndarray.tolist, data.joint()))
 
 
 def dataset_from_csv(path, d_x=None, d_y=None) -> Dataset:
@@ -87,19 +133,14 @@ def dataset_from_csv(path, d_x=None, d_y=None) -> Dataset:
     dimensions are not given explicitly; explicit d_x/d_y must sum to the
     column count.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        names = header.split(",") if header else []
-        rows = [line.strip() for line in fh if line.strip()]
+    names, rows = read_csv(path, itertools.repeat(float))
     n_cols = len(names)
-    if n_cols == 0:
-        raise ConfigurationError(f"{path}: empty or headerless CSV")
     if d_x is None and d_y is None:
         d_x = sum(1 for c in names if c.startswith("x_"))
         d_y = sum(1 for c in names if c.startswith("y_"))
         if d_x + d_y != n_cols:
             raise ConfigurationError(
-                f"{path}: cannot infer d_x/d_y from header {header!r}"
+                f"{path}: cannot infer d_x/d_y from header {','.join(names)!r}"
             )
     elif d_x is None or d_y is None:
         raise ConfigurationError("give both d_x and d_y, or neither")
@@ -109,24 +150,5 @@ def dataset_from_csv(path, d_x=None, d_y=None) -> Dataset:
         raise ConfigurationError(
             f"{path}: d_x + d_y = {d_x + d_y} does not match {n_cols} columns"
         )
-    values = np.empty((len(rows), n_cols), dtype=np.float64)
-    for i, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ConfigurationError(f"{path}: row {i + 2} has {len(parts)} fields")
-        try:
-            values[i] = [float(p) for p in parts]
-        except ValueError:
-            j = next(j for j, p in enumerate(parts) if not _is_number(p))
-            raise ConfigurationError(
-                f"{path}: row {i + 2}, column {j + 1} ({names[j]}): not a number: {parts[j]!r}"
-            ) from None
+    values = np.fromiter(rows, dtype=(np.float64, n_cols))
     return Dataset(x=values[:, :d_x], y=values[:, d_x:])
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True

@@ -2,10 +2,10 @@
 
 
 class ConfigurationError(ValueError):
-    """Invalid configuration: bad grid, bad neighbor count, malformed config file."""
+    """Input the program cannot use: flags, config, data or records file, or the samples."""
 
 
-class DuplicatePointError(ValueError):
+class DuplicatePointError(ConfigurationError):
     """k + 1 or more samples coincide in joint space, so a k-NN radius is zero.
 
     Duplicates would later produce ln(0); we fail fast instead of jittering
@@ -30,7 +30,7 @@ class NonFiniteNormalizationError(ValueError):
         )
 
 
-class RadiusOverflowError(ValueError):
+class RadiusOverflowError(ConfigurationError):
     """A sample's k-NN radius overflows float64, so no finite estimate exists.
 
     Max-norm distances are coordinate differences; for finite data beyond

@@ -21,12 +21,13 @@ import json
 import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .datagen import GaussianSpec, StudentTSpec, generate_gaussian, generate_student_t
-from .dataset import dataset_checksum
+from .dataset import dataset_checksum, read_csv, write_csv
 from .errors import ConfigurationError, DuplicatePointError
 from .estimators import estimate_backends
 from .neighbors import compute_knn_radii
@@ -84,6 +85,13 @@ def _is_list_of(values, kinds) -> bool:
     )
 
 
+# each family's grid field: its default, the test every value must pass, and that test in words
+_GRIDS = {
+    GAUSSIAN: ("rho_grid", DEFAULT_RHO_GRID, lambda r: 0.0 <= r <= 1.0, "lie in [0, 1]"),
+    STUDENT_T: ("nu_grid", DEFAULT_NU_GRID, lambda v: 0.0 < v < np.inf, "be positive and finite"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     family: str
@@ -108,22 +116,19 @@ class ExperimentConfig:
         if not isinstance(self.dims, list):
             raise ConfigurationError(_DIMS_RULE)
         self.dims = _dims(self.dims)
-        if self.family == GAUSSIAN:
-            if self.rho_grid is None:
-                self.rho_grid = list(DEFAULT_RHO_GRID)
-            if not _is_list_of(self.rho_grid, _REALS):
-                raise ConfigurationError(f"rho_grid must be a list of numbers, got {self.rho_grid!r}")
-            self.rho_grid = [float(r) for r in self.rho_grid]
-            if any(not 0.0 <= r <= 1.0 for r in self.rho_grid):
-                raise ConfigurationError("rho_grid values must lie in [0, 1]")
-        else:
-            if self.nu_grid is None:
-                self.nu_grid = list(DEFAULT_NU_GRID)
-            if not _is_list_of(self.nu_grid, _REALS):
-                raise ConfigurationError(f"nu_grid must be a list of numbers, got {self.nu_grid!r}")
-            self.nu_grid = [float(v) for v in self.nu_grid]
-            if any(v <= 0.0 for v in self.nu_grid):
-                raise ConfigurationError("nu_grid values must be positive")
+        for family, (name, default, valid, rule) in _GRIDS.items():
+            grid = getattr(self, name)
+            if family != self.family:
+                if grid is not None:
+                    raise ConfigurationError(f"{name} does not apply to the {self.family} family")
+                continue
+            grid = default if grid is None else grid
+            if not _is_list_of(grid, _REALS):
+                raise ConfigurationError(f"{name} must be a list of numbers, got {grid!r}")
+            grid = [float(v) for v in grid]
+            if not all(map(valid, grid)):
+                raise ConfigurationError(f"{name} values must {rule}")
+            setattr(self, name, grid)
         for name, low in (("n", 2), ("k", 1), ("repetitions", 1)):
             setattr(self, name, _integer(name, getattr(self, name), low))
         if self.k >= self.n:
@@ -151,7 +156,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
@@ -341,33 +346,16 @@ def stability_profile(epsilon, dims) -> list:
 # ---------------------------------------------------------------------------
 # flat-file output: CSV (canonical) and JSON-lines (optional mirror)
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(rows, columns, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(getattr(row, c)) for c in columns) + "\n")
-
-
 def write_records_csv(records, path) -> None:
-    _write_csv(records, RECORD_COLUMNS, path)
+    write_csv(path, RECORD_COLUMNS, map(attrgetter(*RECORD_COLUMNS), records))
 
 
 def write_summary_csv(rows, path) -> None:
-    _write_csv(rows, SUMMARY_COLUMNS, path)
+    write_csv(path, SUMMARY_COLUMNS, map(attrgetter(*SUMMARY_COLUMNS), rows))
 
 
 def write_stability_csv(rows, path) -> None:
-    _write_csv(rows, STABILITY_COLUMNS, path)
+    write_csv(path, STABILITY_COLUMNS, map(attrgetter(*STABILITY_COLUMNS), rows))
 
 
 def write_records_jsonl(records, path) -> None:
@@ -377,29 +365,20 @@ def write_records_jsonl(records, path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
+def _or_none(cast):
+    """cast for a records column whose empty field stands for None."""
+    return lambda text: None if text == "" else cast(text)
+
+
 # str and int columns parse as declared; float and Optional[float] as float
-_RECORD_PARSERS = {
-    f.name: f.type if f.type in (str, int) else float for f in fields(RunRecord)
-}
+_RECORD_CASTS = [
+    _or_none(f.type if f.type in (str, int) else float) for f in fields(RunRecord)
+]
 
 
 def read_records_csv(path) -> list:
     """Parse a records CSV back into RunRecord objects ('' becomes None)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if header != RECORD_COLUMNS:
-            raise ConfigurationError(f"{path}: unexpected record columns {header}")
-        records = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(RECORD_COLUMNS):
-                raise ConfigurationError(f"{path}: row {line_no} has {len(parts)} fields")
-            kwargs = {}
-            for name, text in zip(RECORD_COLUMNS, parts):
-                parser = _RECORD_PARSERS[name]
-                kwargs[name] = None if text == "" else parser(text)
-            records.append(RunRecord(**kwargs))
-    return records
+    names, rows = read_csv(path, _RECORD_CASTS)
+    if names != RECORD_COLUMNS:
+        raise ConfigurationError(f"{path}: unexpected record columns {names}")
+    return [RunRecord(*row) for row in rows]

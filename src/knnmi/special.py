@@ -47,11 +47,28 @@ _LNGAMMA_TAIL = (
 _HALF_LN_TWO_PI = 0.9189385332046727  # ln(2 pi) / 2
 
 
-def _validated(x, name):
+def _shifted(x, name, step):
+    """(x as an array, x flat and shifted up by 1 until every entry is >= 10,
+    the sum of step(x + j) over each entry's shifts j = 0, 1, ...).
+
+    Only the entries still below 10 are shifted, so each pass gets cheaper.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError(f"{name} requires positive finite arguments")
-    return arr
+    work = arr.reshape(-1).copy()
+    acc = np.zeros_like(work)
+    small = np.flatnonzero(work < _SHIFT_THRESHOLD)
+    while small.size:
+        acc[small] += step(work[small])
+        work[small] += 1.0
+        small = small[work[small] < _SHIFT_THRESHOLD]
+    return arr, work, acc
+
+
+def _shaped(out, arr):
+    """out as a float for scalar arr, else in arr's shape."""
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _polyval(coeffs, r):
@@ -65,37 +82,16 @@ def _polyval(coeffs, r):
 
 def digamma(x):
     """Digamma function psi(x) for positive real x (scalar or array)."""
-    arr = _validated(x, "digamma")
-    scalar = arr.ndim == 0
-    work = arr.reshape(-1).copy()  # flat: the shift loop indexes it
-    acc = np.zeros_like(work)
-
-    small = np.flatnonzero(work < _SHIFT_THRESHOLD)
-    while small.size:
-        acc[small] -= 1.0 / work[small]
-        work[small] += 1.0
-        small = small[work[small] < _SHIFT_THRESHOLD]
-
+    arr, work, acc = _shifted(x, "digamma", lambda w: -1.0 / w)
     inv = 1.0 / work
     r = inv * inv
     out = acc + np.log(work) - 0.5 * inv - r * _polyval(_PSI_TAIL, r)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _shaped(out, arr)
 
 
 def ln_gamma(x):
     """Natural log of the gamma function for positive real x (scalar or array)."""
-    arr = _validated(x, "ln_gamma")
-    scalar = arr.ndim == 0
-    work = np.atleast_1d(arr).copy()
-    acc = np.zeros_like(work)
-
-    while True:
-        small = work < _SHIFT_THRESHOLD
-        if not small.any():
-            break
-        acc += np.where(small, np.log(np.where(small, work, 1.0)), 0.0)
-        work[small] += 1.0
-
+    arr, work, acc = _shifted(x, "ln_gamma", np.log)
     inv = 1.0 / work
     r = inv * inv
     stirling = (
@@ -104,5 +100,4 @@ def ln_gamma(x):
         + _HALF_LN_TWO_PI
         + inv * _polyval(_LNGAMMA_TAIL, r)
     )
-    out = stirling - acc
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _shaped(stirling - acc, arr)

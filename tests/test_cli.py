@@ -178,11 +178,53 @@ def test_bad_numbers_in_flags_are_named(tmp_path, capsys):
 
 
 def test_estimate_bad_cell_is_named(tmp_path, capsys):
+    # rows are file lines, so a blank line still counts
     path = tmp_path / "bad.csv"
-    path.write_text("x_1,y_1\n0.5,1.0\n2.0,abc\n")
-    assert run_cli("estimate", "--data", str(path), "--k", "1") == 1
+    for text, row in (("x_1,y_1\n0.5,1.0\n2.0,abc\n", 3),
+                      ("x_1,y_1\n0.5,1.0\n\n2.0,abc\n", 4)):
+        path.write_text(text)
+        capsys.readouterr()
+        assert run_cli("estimate", "--data", str(path), "--k", "1") == 1
+        err = capsys.readouterr().err
+        assert f"row {row}, column 2 (y_1): not a number: 'abc'" in err and str(path) in err
+
+
+def _records_csv(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "gaussian", "base_seed": 1, "dims": [1],
+                               "rho_grid": [0.5], "n": 20, "k": 2, "repetitions": 1,
+                               "backends": ["proposed"]}))
+    path = tmp_path / "records.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(path)) == 0
+    return path
+
+
+def test_summarize_bad_cell_is_named(tmp_path, capsys):
+    path = _records_csv(tmp_path)
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    column = RECORD_COLUMNS.index("nmi")
+    cells[column] = "abc"
+    path.write_text(f"{header}\n\n{','.join(cells)}\n")
+    capsys.readouterr()
+    assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
     err = capsys.readouterr().err
-    assert "row 3, column 2 (y_1): not a number: 'abc'" in err and str(path) in err
+    assert f"{path}: row 3, column {column + 1} (nmi): not a number: 'abc'" in err
+
+
+def test_non_ascii_csv_and_non_utf8_config_are_config_errors(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x_1,y_1\n0.5,1.0\n2.0,\u00e9\n", encoding="utf-8")
+    records = _records_csv(tmp_path)
+    records.write_text(records.read_text().replace("gaussian", "gau\u00dfian"), encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_bytes('{"family": "gaussian", "base_seed": 1, "\u00e9": 1}'.encode("latin-1"))
+    for argv, path in ((("estimate", "--data", str(data)), data),
+                       (("summarize", "--records", str(records), "--out", str(tmp_path / "s.csv")), records),
+                       (("sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")), config)):
+        capsys.readouterr()
+        assert run_cli(*argv) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: {path}: "), argv
 
 
 def test_unknown_backend_is_config_error(tmp_path):
@@ -200,6 +242,23 @@ def test_internal_error_exit_code(monkeypatch, tmp_path):
                                "rho_grid": [0.0], "n": 20, "k": 2, "repetitions": 1}))
     monkeypatch.setattr(cli, "_cmd_sweep", lambda args: (_ for _ in ()).throw(RuntimeError("boom")))
     assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 3
+
+
+def test_internal_value_error_exit_code(monkeypatch, tmp_path, capsys):
+    # only ConfigurationError is bad input; a plain ValueError is an internal fault
+    import knnmi.estimators as estimators
+
+    path = tmp_path / "d.csv"
+    run_cli("gen", "--family", "gaussian", "--d", "1", "--rho", "0.5",
+            "--n", "20", "--seed", "1", "--out", str(path))
+
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(estimators, "estimate_backends", broken)
+    capsys.readouterr()
+    assert run_cli("estimate", "--data", str(path), "--k", "2") == 3
+    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,5 +1,7 @@
 """Synthetic data generation: determinism, statistical oracles, CSV round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,14 @@ from knnmi.datagen import (
     generate_gaussian,
     generate_student_t,
 )
-from knnmi.dataset import Dataset, dataset_checksum, dataset_from_csv, dataset_to_csv
+from knnmi.dataset import (
+    Dataset,
+    dataset_checksum,
+    dataset_from_csv,
+    dataset_to_csv,
+    read_csv,
+    write_csv,
+)
 from knnmi.errors import ConfigurationError
 
 
@@ -125,6 +134,36 @@ class TestCsvInterchange:
         assert back.d_x == 3 and back.d_y == 1
         with pytest.raises(ConfigurationError):
             dataset_from_csv(path, d_x=3, d_y=3)
+
+    def test_dialect_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c", "d"], [(None, True, 0.1, 3), ("s", False, 1e-300, -2)])
+        assert path.read_bytes() == b"a,b,c,d\n,true,0.1,3\ns,false,1e-300,-2\n"
+        names, rows = read_csv(path, [str, str, float, int])
+        assert names == ["a", "b", "c", "d"]
+        assert list(rows) == [["", "true", 0.1, 3], ["s", "false", 1e-300, -2]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty or headerless CSV"),
+        ("\nx_1,y_1\n", "empty or headerless CSV"),
+        ("x_1,y_1\n1,2\n\n3\n", "row 4 has 1 fields"),
+        ("x_1,y_1\n1,2\n\n3,4,5\n", "row 4 has 3 fields"),
+        ("x_1,y_1\n1,\n", "row 2, column 2 (y_1): not a number: ''"),
+        ("x_1,y_1\n1,2\n\n\n0x1,2\n", "row 5, column 1 (x_1): not a number: '0x1'"),
+    ])
+    def test_read_errors_name_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            dataset_from_csv(path)
+
+    def test_rows_parse_as_they_are_iterated(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x_1\n1.5\nabc\n")
+        names, rows = read_csv(path, [float])
+        assert names == ["x_1"] and next(rows) == [1.5]
+        with pytest.raises(ConfigurationError, match="row 3"):
+            next(rows)
 
     def test_checksum_tracks_content(self):
         a = generate_gaussian(GaussianSpec(d=1, rho=0.0, n=20, seed=1))

@@ -102,12 +102,26 @@ class TestConfig:
         dict(backends="proposed"),
         dict(base_seed=1.7),
         dict(base_seed=None),
+        dict(family="student_t", nu_grid=[float("inf")]),
+        dict(family="student_t", nu_grid=[float("nan")]),
+        dict(rho_grid=[float("nan")]),
     ])
     def test_validation(self, bad):
         kwargs = dict(family="gaussian", base_seed=1)
         kwargs.update(bad)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("family, name, grid", [
+        ("student_t", "rho_grid", ["junk"]),
+        ("student_t", "rho_grid", [0.5]),
+        ("gaussian", "nu_grid", [-5]),
+        ("gaussian", "nu_grid", [1.0]),
+    ])
+    def test_other_familys_grid_rejected(self, family, name, grid):
+        # a grid the family never reads would be stored unchecked and silently ignored
+        with pytest.raises(ConfigurationError, match=f"{name} does not apply to the {family} family"):
+            ExperimentConfig(family=family, base_seed=1, **{name: grid})
 
     def test_numpy_scalars_accepted(self):
         cfg = ExperimentConfig(
