@@ -91,5 +91,12 @@ def generate_student_t(spec: StudentTSpec) -> Dataset:
     latent_x = g.standard_normal((spec.n, spec.d))
     latent_y = g.standard_normal((spec.n, spec.d))
     u = 2.0 * g.standard_gamma(spec.nu / 2.0, size=spec.n)  # chi-square(nu)
-    scale = np.sqrt(spec.nu / u)[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = np.sqrt(spec.nu / u)[:, None]
+    # a tiny nu draws u that underflow to 0 or near it; a finite scale is below
+    # 1.4e154, the root of the largest double, so the latent product cannot overflow
+    if not np.isfinite(scale).all():
+        raise ConfigurationError(
+            f"nu = {spec.nu} is too small: the chi-square scale sqrt(nu / u) is not finite"
+        )
     return Dataset(x=latent_x * scale, y=latent_y * scale)

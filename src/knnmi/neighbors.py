@@ -66,6 +66,16 @@ subtract, abs and max over n // 2 rows where brute force needs n, so at
 N = 200, k = 5 the scan takes 0.6 of brute force's time at
 d_x = d_y = 64 and 0.9 at d_x = d_y = 2, where the partition and the
 compares it shares with brute force dominate. It starts no thread.
+
+The pair-once scan carves its planes from one byte buffer per thread, kept
+between calls (`_carve`): each plane starts on a 64-byte boundary, and the
+marginal loop's planes share space with the partition's, which are never
+live at the same time. The buffer is bounded by the largest small-sample
+scan its thread has run: about 1.6 MiB at n = 256, plus the D x 1.5n
+feature array. It is scratch, not a cache: no value passes from one call to
+the next, and the arrays returned are fresh. Brute force and the sorted
+window allocate their planes per call; their scans run 30 ms to 8 s, and
+kept planes would pin up to 8 * N doubles each.
 """
 
 import math
@@ -95,6 +105,14 @@ _SCRATCH_ELEMS = 2**16
 # 10000; output is the same for any values
 _FIRST_WINDOW = 1.5
 _WINDOW_GROWTH = 4
+
+# pair-once scratch: each thread keeps one byte buffer between calls (_carve).
+# Freed planes of about a MiB went back to the OS, and faulting them in again
+# took over half of a d = 2 scan at N = 200; a subtract into an output on a
+# 64-byte boundary ran 1.3 times as fast as into the 16-byte-aligned blocks
+# that malloc gives large arrays (N = 200 plane, AVX-512 Xeon)
+_ALIGN = 64
+_scratch = threading.local()
 
 
 def _cpu_count() -> int:
@@ -275,13 +293,22 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     n = x.shape[0]
     half, rest = n // 2, n - 1 - n // 2  # offsets computed; offsets read back
     d_x, d_y = x.shape[1], y.shape[1]
+    # dist[m, r, i] = marginal m's distance from sample i to sample (i + r + 1) % n
+    # for r < half, and to sample (i - (r - half) - 1) % n after that: column i
+    # holds sample i's distance to every other sample once. The marginal loop's
+    # planes are dead once the partition starts, so the two share space
+    (dist, features, plane, wrapped), (_, dist_joint, inside) = _carve(
+        [((2, n - 1, n), float), ((d_x + d_y, n + half), float), ((half, n), float),
+         ((half, rest + n), float)],
+        [((2, n - 1, n), float), ((n - 1, n), float), ((n - 1, n), bool)],
+    )
+
     # features[f, i] = a_f[i % n] for i < n + half, so that
     # windows[f, t - 1, i] = features[f, i + t] = a_f[(i + t) % n] for t = 1..half;
     # built by the ndarray constructor, which checks the view against the
     # buffer: sliding_window_view took 20 us per call, and 130 us under the
     # benchmark's tracemalloc. Filled in place: a transposing copy of the
     # wrapped joint array took 2.5 times as long at d_x = d_y = 64
-    features = np.empty((d_x + d_y, n + half))
     features[:d_x, :n] = x.T
     features[d_x:, :n] = y.T
     features[:, n:] = features[:, :half]
@@ -291,15 +318,9 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
         strides=(features.strides[0], step, step),
     )[:, 1:]
 
-    # dist[m, r, i] = marginal m's distance from sample i to sample (i + r + 1) % n
-    # for r < half, and to sample (i - (r - half) - 1) % n after that: column i
-    # holds sample i's distance to every other sample once
-    dist = np.empty((2, n - 1, n))
-    plane = np.empty((half, n))
     # wrapped[:, c] = dist[m, :half, (c - rest) % n], so that skew[r, i] =
     # wrapped[r, i + rest - 1 - r] is sample i's distance to sample (i - r - 1) % n:
     # rows rest + n - 1 apart in the flat buffer (n = 2 reads nothing back)
-    wrapped = np.empty((half, rest + n))
     skew = wrapped.reshape(-1)[max(rest - 1, 0) :][: rest * (rest + n - 1)]
     skew = skew.reshape(rest, rest + n - 1)[:, :n]
     for m, features_m in enumerate((range(d_x), range(d_x, d_x + d_y))):
@@ -319,20 +340,51 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
         wrapped[:, :rest] = top[:, n - rest :]
         dist[m, half:] = skew
 
-    dist_joint = np.maximum(dist[0], dist[1])
+    np.maximum(dist[0], dist[1], out=dist_joint)
     dist_joint.partition(k - 1, axis=0)
     epsilon = dist_joint[k - 1].copy()
 
     # a column holds n - 1 distances, so its count fits the smallest type that
     # holds n - 1; summing bytes in it (uint8 up to n = 256) down the columns
     # is about four times faster than count_nonzero there
-    inside = np.empty((n - 1, n), dtype=bool)
     tally = np.min_scalar_type(n - 1)
     counts = []
     for dist_m in dist:
         np.less(dist_m, epsilon, out=inside)
         counts.append(inside.view(np.uint8).sum(axis=0, dtype=tally).astype(np.int64))
     return epsilon, *counts
+
+
+def _carve(*layouts):
+    """Scratch arrays for each layout, a list of (shape, dtype), from this thread's buffer.
+
+    The arrays of one layout lie end to end, each from an _ALIGN-byte
+    boundary, so none overlaps another. Every layout starts at the start of
+    the buffer, so arrays of different layouts may overlap; a plane that a
+    caller keeps across layouts leads each of them, and so has the same place
+    in all. The buffer is kept between calls and grows to the largest layout
+    its thread has asked for, dropping the old buffer before it allocates the
+    new one. The arrays hold whatever an earlier call left in them.
+    """
+    placed, size = [], 0
+    for layout in layouts:
+        at, spans = 0, []
+        for shape, dtype in layout:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            spans.append((at, nbytes, shape, dtype))
+            at += -(-nbytes // _ALIGN) * _ALIGN
+        placed.append(spans)
+        size = max(size, at)
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or buffer.size < size:
+        _scratch.buffer = buffer = None  # freed before the larger one is taken
+        raw = np.empty(size + _ALIGN, dtype=np.uint8)
+        skip = -raw.ctypes.data % _ALIGN
+        buffer = _scratch.buffer = raw[skip : skip + size]
+    return [
+        [buffer[at : at + nbytes].view(dtype).reshape(shape) for at, nbytes, shape, dtype in spans]
+        for spans in placed
+    ]
 
 
 def _brute_force_scan(x: np.ndarray, y: np.ndarray, k: int):

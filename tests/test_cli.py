@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -141,6 +142,24 @@ def test_sweep_null_dimension_is_config_error(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 1
     assert "dims must be a non-empty list of positive integers" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_tiny_nu_is_a_config_error_that_names_nu(tmp_path, capsys):
+    # gen and a sweep both exit 1 with the generator's message, and warn of nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "student_t", "base_seed": 1, "dims": [1],
+                               "nu_grid": [1e-300], "n": 20, "k": 3, "repetitions": 1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ("gen", "--family", "student_t", "--d", "1", "--nu", "1e-300", "--n", "10",
+             "--seed", "1", "--out", str(tmp_path / "g.csv")),
+            ("sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")),
+        ):
+            capsys.readouterr()
+            assert run_cli(*argv) == 1, argv[0]
+            assert "nu = 1e-300 is too small" in capsys.readouterr().err, argv[0]
+    assert not (tmp_path / "g.csv").exists() and not (tmp_path / "r.csv").exists()
 
 
 def test_sweep_missing_config_is_io_error(tmp_path):

@@ -1,6 +1,7 @@
 """Synthetic data generation: determinism, statistical oracles, CSV round-trip."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ class TestStudentT:
         log_rx = np.log(np.linalg.norm(data.x, axis=1))
         log_ry = np.log(np.linalg.norm(data.y, axis=1))
         assert np.corrcoef(log_rx, log_ry)[0, 1] > 0.1
+
+    def test_tiny_nu_is_named_without_a_warning(self):
+        # chi-square draws at nu = 1e-300 underflow to 0, so sqrt(nu / u) is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"nu = 1e-300 .*not finite"):
+                generate_student_t(StudentTSpec(d=1, nu=1e-300, n=10, seed=1))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """k-NN radius and marginal-count tests, checked against a naive all-pairs oracle."""
 
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -397,6 +399,116 @@ def test_pair_once_scan_equals_brute_force_up_to_256_rows():
         for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
             assert a.dtype == b.dtype, name
             np.testing.assert_array_equal(a, b, err_msg=f"{name} n={n}")
+
+
+def test_pair_once_results_never_alias_the_scratch():
+    # the scan keeps its planes between calls; what it returns must not live
+    # in them, so later scans at larger D and at n = 256 leave it as it was.
+    # The largest scan runs first: growing the buffer would leave a result
+    # that aliased the old one untouched
+    rng = np.random.default_rng(59)
+    compute_knn_radii(random_dataset(rng, 256, 32, 33), 4)
+    data = random_dataset(rng, 200, 3, 2)
+    kept = compute_knn_radii(data, 4)
+    copies = [a.copy() for a in (kept.epsilon, kept.n_x, kept.n_y)]
+    for n, d in ((200, 32), (256, 8), (256, 1), (200, 2)):
+        other = random_dataset(rng, n, d, d + 1)
+        assert_matches_oracle(compute_knn_radii(other, 4), other, 4, f"n={n} d={d}")
+    for a, b in zip((kept.epsilon, kept.n_x, kept.n_y), copies):
+        np.testing.assert_array_equal(a, b)
+    assert_matches_oracle(kept, data, 4)
+
+
+def test_pair_once_scans_in_two_threads_at_once():
+    # each thread carves its own scratch; with a 1 us switch interval, two
+    # threads that shared one would overwrite each other's planes mid-scan
+    rng = np.random.default_rng(61)
+    cases = [[random_dataset(rng, n, d, 2) for n, d in ((200, 16), (150, 3), (256, 6))]
+             for _ in range(2)]
+    wants = [[naive_radii(data, 5) for data in datasets] for datasets in cases]
+    start = threading.Barrier(2)
+    failures, finished = [], []
+
+    def scan_repeatedly(datasets, want):
+        start.wait(timeout=30)
+        for _ in range(4):
+            for data, (eps, n_x, n_y) in zip(datasets, want):
+                rs = compute_knn_radii(data, 5)
+                if not (np.array_equal(rs.epsilon, eps) and np.array_equal(rs.n_x, n_x)
+                        and np.array_equal(rs.n_y, n_y)):
+                    failures.append((data.n, data.d_x))
+        finished.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan_repeatedly, args=args) for args in zip(cases, wants)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == 2 and not failures, failures
+
+
+def test_carved_arrays_are_aligned_and_disjoint():
+    # every array starts on a 64-byte boundary; the arrays of one layout never
+    # overlap, while each layout starts at the start of the thread's buffer,
+    # and another thread's buffer is elsewhere
+    def span(a):
+        return a.ctypes.data, a.ctypes.data + a.nbytes
+
+    layouts = [[((3, 5), np.float64), ((7,), bool), ((2, 3), np.float64), ((0, 4), np.float64),
+                ((9,), np.int32)],
+               [((1,), bool), ((5, 5), np.float64)]]
+    first, second = neighbors._carve(*layouts)
+    for carved, layout in zip((first, second), layouts):
+        assert [(a.shape, a.dtype) for a in carved] == [(s, np.dtype(t)) for s, t in layout]
+        assert all(a.ctypes.data % 64 == 0 for a in carved)
+        spans = sorted(span(a) for a in carved)
+        assert all(end <= begin for (_, end), (begin, _) in zip(spans, spans[1:]))
+    assert first[0].ctypes.data == second[0].ctypes.data
+    elsewhere = []
+    helper = threading.Thread(target=lambda: elsewhere.extend(neighbors._carve(*layouts)[0]))
+    helper.start()
+    helper.join(timeout=30)
+    assert not helper.is_alive() and len(elsewhere) == len(first)
+    mine = [span(a) for a in first if a.nbytes]
+    theirs = [span(a) for a in elsewhere if a.nbytes]
+    assert all(end <= start or stop <= begin for begin, end in mine for start, stop in theirs)
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from knnmi.dataset import Dataset
+from knnmi.neighbors import compute_knn_radii
+
+rng = np.random.default_rng(67)
+datasets = [Dataset(rng.normal(size=(200, d)), rng.normal(size=(200, d)))
+            for d in (2, 4, 8, 16, 32, 64)]
+compute_knn_radii(datasets[-1], 5)  # the largest shape grows the buffer once
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    for data in datasets:
+        compute_knn_radii(data, 5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_repeated_pair_once_scans_fault_in_no_new_pages():
+    # freed scratch planes went back to the OS and were faulted in again on
+    # the next scan: about 18k minor faults for these 60 scans. In a fresh
+    # process, since earlier frees in this one can move malloc's thresholds
+    pytest.importorskip("resource")
+    package_root = os.path.dirname(os.path.dirname(neighbors.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path), check=True)
+    faults = int(done.stdout)
+    assert faults < 1000, faults
 
 
 def test_sorted_window_scan_sorts_by_the_more_distinct_coordinate(monkeypatch):
