@@ -12,19 +12,12 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .datagen import (
-    GENERATOR_ID,
-    GaussianSpec,
-    StudentTSpec,
-    generate_gaussian,
-    generate_student_t,
-)
+from .datagen import GENERATOR_ID
 from .dataset import dataset_from_csv, dataset_to_csv
 from .errors import ConfigurationError, NonFiniteNormalizationError
 from .estimators import estimate
 from .harness import (
-    GAUSSIAN,
-    STUDENT_T,
+    FAMILIES,
     ExperimentConfig,
     Status,
     read_records_csv,
@@ -99,10 +92,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="emit a synthetic dataset to CSV")
     p.set_defaults(run=_cmd_gen)
-    p.add_argument("--family", required=True, choices=[GAUSSIAN, STUDENT_T])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
+    for family in FAMILIES.values():
+        p.add_argument(f"--{family.param}", type=float, default=None)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", required=True)
@@ -148,14 +141,13 @@ def _cmd_stability(args) -> None:
 
 
 def _cmd_gen(args) -> None:
-    if args.family == GAUSSIAN:
-        if args.rho is None:
-            raise ConfigurationError("--rho is required for the gaussian family")
-        data = generate_gaussian(GaussianSpec(d=args.d, rho=args.rho, n=args.n, seed=args.seed))
-    else:
-        if args.nu is None:
-            raise ConfigurationError("--nu is required for the student_t family")
-        data = generate_student_t(StudentTSpec(d=args.d, nu=args.nu, n=args.n, seed=args.seed))
+    family = FAMILIES[args.family]
+    # the family's own flag is required and every other family's is refused
+    for other in FAMILIES.values():
+        if (getattr(args, other.param) is None) == (other is family):
+            rule = "is required for" if other is family else "does not apply to"
+            raise ConfigurationError(f"--{other.param} {rule} the {args.family} family")
+    data = family.dataset(args.d, getattr(args, family.param), args.n, args.seed)
     dataset_to_csv(data, args.out)
 
 

@@ -28,8 +28,31 @@ from .errors import ConfigurationError
 GENERATOR_ID = "numpy-philox-4x64"
 
 
-def _check_seed(seed) -> None:
+# the paper's largest sample is N = 10000 at d = 512, 5.1e6 values per array;
+# a sample beyond this bound (512 MiB per float64 array) is refused, not allocated
+MAX_SAMPLE_VALUES = 2**26
+
+
+def check_sample_size(n: int, d: int) -> None:
+    """ConfigurationError naming n and d when an n x d array exceeds MAX_SAMPLE_VALUES."""
+    values = int(n) * int(d)
+    if values > MAX_SAMPLE_VALUES:
+        raise ConfigurationError(
+            f"n = {n} samples at d = {d} make {values} values per array, "
+            f"more than the {MAX_SAMPLE_VALUES} allowed"
+        )
+
+
+def _check_sample(spec) -> None:
+    """The checks both specs share: d and n at least 1, a sample within
+    MAX_SAMPLE_VALUES, and a seed in Philox's 128-bit key range."""
+    if spec.d < 1:
+        raise ConfigurationError(f"d must be >= 1, got {spec.d}")
+    if spec.n < 1:
+        raise ConfigurationError(f"n must be >= 1, got {spec.n}")
+    check_sample_size(spec.n, spec.d)
     # Philox takes a 128-bit key; numpy rejects anything outside it only at generation
+    seed = spec.seed
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**128:
         raise ConfigurationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
@@ -44,11 +67,7 @@ class GaussianSpec:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigurationError(f"d must be >= 1, got {self.d}")
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        _check_seed(self.seed)
+        _check_sample(self)
         if not 0.0 <= self.rho < 1.0:
             raise ConfigurationError(
                 f"rho must lie in [0, 1) for generation, got {self.rho}"
@@ -65,11 +84,7 @@ class StudentTSpec:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigurationError(f"d must be >= 1, got {self.d}")
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        _check_seed(self.seed)
+        _check_sample(self)
         if not (self.nu > 0.0 and math.isfinite(self.nu)):
             raise ConfigurationError(f"nu must be positive, got {self.nu}")
 

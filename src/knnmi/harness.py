@@ -1,5 +1,9 @@
 """Sweep driver: generate, estimate with every backend, attach ground truth.
 
+FAMILIES is the one place where a synthetic family is defined: the config,
+the sweep and `knnmi gen` read every family decision from it and build data
+through `Family.dataset`.
+
 A sweep iterates cells (dimension x grid point), repeats each cell with
 derived seeds, and estimates every repetition with each configured
 backend. The SAME dataset, k-NN radii and digamma statistics are shared by
@@ -19,6 +23,7 @@ raw records can be re-analyzed without re-running the O(N^2) estimation.
 import hashlib
 import json
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
@@ -26,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .datagen import GaussianSpec, StudentTSpec, generate_gaussian, generate_student_t
-from .dataset import dataset_checksum, read_csv, write_csv
+from .datagen import GaussianSpec, StudentTSpec, check_sample_size, generate_gaussian, generate_student_t
+from .dataset import Dataset, dataset_checksum, read_csv, write_csv
 from .errors import ConfigurationError, DuplicatePointError
 from .estimators import estimate_backends
 from .neighbors import compute_knn_radii
@@ -78,17 +83,26 @@ def _dims(values) -> list:
     return dims
 
 
-def _is_list_of(values, kinds) -> bool:
-    """True for a list whose entries are all of `kinds`; bool is never a number here."""
-    return isinstance(values, list) and all(
-        isinstance(v, kinds) and not isinstance(v, bool) for v in values
-    )
+class Family(namedtuple("Family", "param default_grid valid rule default_dims "
+                                  "spec generate truth substitutes")):
+    """One family: its parameter (the spec field, the gen flag and f"{param}_grid"),
+    default grid, the test its grid values pass and that test in words, default
+    dims, spec, generator, truth, and the grid points drawn at a substitute."""
+
+    def dataset(self, d: int, param: float, n: int, seed: int) -> Dataset:
+        """n samples at dimension d drawn at `param`: gen's and the sweep's one path to data."""
+        return self.generate(self.spec(d=d, n=n, seed=seed, **{self.param: param}))
 
 
-# each family's grid field: its default, the test every value must pass, and that test in words
-_GRIDS = {
-    GAUSSIAN: ("rho_grid", DEFAULT_RHO_GRID, lambda r: 0.0 <= r <= 1.0, "lie in [0, 1]"),
-    STUDENT_T: ("nu_grid", DEFAULT_NU_GRID, lambda v: 0.0 < v < np.inf, "be positive and finite"),
+# generate and truth look their function up at call time, so a rebound module
+# attribute (a tracer's wrapper, a test's stub) still reaches them
+FAMILIES = {
+    GAUSSIAN: Family("rho", DEFAULT_RHO_GRID, lambda r: 0.0 <= r <= 1.0, "lie in [0, 1]",
+                     DEFAULT_GAUSSIAN_DIMS, GaussianSpec, lambda spec: generate_gaussian(spec),
+                     lambda d, rho: gaussian_truth(d, rho), {1.0: RHO_GENERATION_SUBSTITUTE}),
+    STUDENT_T: Family("nu", DEFAULT_NU_GRID, lambda v: 0.0 < v < np.inf, "be positive and finite",
+                      DEFAULT_STUDENT_T_DIMS, StudentTSpec, lambda spec: generate_student_t(spec),
+                      lambda d, nu: student_t_truth(d, nu), {}),
 }
 
 
@@ -105,32 +119,33 @@ class ExperimentConfig:
     backends: list = field(default_factory=lambda: [Backend.BASELINE, Backend.PROPOSED])
 
     def __post_init__(self):
-        if self.family not in (GAUSSIAN, STUDENT_T):
-            raise ConfigurationError(
-                f"family must be {GAUSSIAN!r} or {STUDENT_T!r}, got {self.family!r}"
-            )
+        family = FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if family is None:
+            choices = " or ".join(map(repr, FAMILIES))
+            raise ConfigurationError(f"family must be {choices}, got {self.family!r}")
         if self.dims is None:
-            self.dims = list(
-                DEFAULT_GAUSSIAN_DIMS if self.family == GAUSSIAN else DEFAULT_STUDENT_T_DIMS
-            )
+            self.dims = list(family.default_dims)
         if not isinstance(self.dims, list):
             raise ConfigurationError(_DIMS_RULE)
         self.dims = _dims(self.dims)
-        for family, (name, default, valid, rule) in _GRIDS.items():
-            grid = getattr(self, name)
-            if family != self.family:
-                if grid is not None:
-                    raise ConfigurationError(f"{name} does not apply to the {self.family} family")
-                continue
-            grid = default if grid is None else grid
-            if not _is_list_of(grid, _REALS):
-                raise ConfigurationError(f"{name} must be a list of numbers, got {grid!r}")
-            grid = [float(v) for v in grid]
-            if not all(map(valid, grid)):
-                raise ConfigurationError(f"{name} values must {rule}")
-            setattr(self, name, grid)
+        for other in FAMILIES.values():
+            if other is not family and getattr(self, f"{other.param}_grid") is not None:
+                raise ConfigurationError(f"{other.param}_grid does not apply to the {self.family} family")
+        name = f"{family.param}_grid"
+        grid = getattr(self, name)
+        grid = family.default_grid if grid is None else grid
+        # bool is never a number here
+        if not isinstance(grid, list) or any(isinstance(v, bool) or not isinstance(v, _REALS)
+                                             for v in grid):
+            raise ConfigurationError(f"{name} must be a list of numbers, got {grid!r}")
+        grid = [float(v) for v in grid]
+        if not all(map(family.valid, grid)):
+            raise ConfigurationError(f"{name} values must {family.rule}")
+        setattr(self, name, grid)
         for name, low in (("n", 2), ("k", 1), ("repetitions", 1)):
             setattr(self, name, _integer(name, getattr(self, name), low))
+        for d in self.dims:
+            check_sample_size(self.n, d)
         if self.k >= self.n:
             raise ConfigurationError(f"k = {self.k} must be smaller than n = {self.n}")
         self.base_seed = _integer("base_seed", self.base_seed)
@@ -164,15 +179,12 @@ class ExperimentConfig:
 
     @property
     def param_name(self) -> str:
-        return "rho" if self.family == GAUSSIAN else "nu"
+        return FAMILIES[self.family].param
 
     def grid(self) -> list:
         """(nominal parameter, generation parameter) pairs."""
-        if self.family == GAUSSIAN:
-            return [
-                (r, RHO_GENERATION_SUBSTITUTE if r == 1.0 else r) for r in self.rho_grid
-            ]
-        return [(v, v) for v in self.nu_grid]
+        family = FAMILIES[self.family]
+        return [(v, family.substitutes.get(v, v)) for v in getattr(self, f"{family.param}_grid")]
 
 
 @dataclass(frozen=True)
@@ -206,16 +218,8 @@ def derive_seed(base_seed: int, family: str, d: int, param: float, repetition: i
     return int.from_bytes(digest[:8], "big")
 
 
-def _generate(config: ExperimentConfig, d: int, param_gen: float, seed: int):
-    if config.family == GAUSSIAN:
-        return generate_gaussian(GaussianSpec(d=d, rho=param_gen, n=config.n, seed=seed))
-    return generate_student_t(StudentTSpec(d=d, nu=param_gen, n=config.n, seed=seed))
-
-
-def _truth_nmi(config: ExperimentConfig, d: int, param: float) -> Optional[float]:
-    if config.family == GAUSSIAN:
-        return gaussian_truth(d, param).nmi_true
-    return student_t_truth(d, param).nmi_true
+def _generate(config: ExperimentConfig, d: int, param_gen: float, seed: int) -> Dataset:
+    return FAMILIES[config.family].dataset(d, param_gen, config.n, seed)
 
 
 _ESTIMATE_FIELDS = ("mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies", "nmi")
@@ -223,10 +227,11 @@ _ESTIMATE_FIELDS = ("mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies", "nmi")
 
 def run_sweep(config: ExperimentConfig) -> list:
     """Run every (dim, grid point, repetition, backend) cell of the sweep."""
+    truth = FAMILIES[config.family].truth
     records = []
     for d in config.dims:
         for param, param_gen in config.grid():
-            nmi_true = _truth_nmi(config, d, param)
+            nmi_true = truth(d, param).nmi_true
             for rep in range(config.repetitions):
                 seed = derive_seed(config.base_seed, config.family, d, param, rep)
                 start = time.perf_counter()

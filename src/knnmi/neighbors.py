@@ -15,12 +15,12 @@ point, the KSG "algorithm 1" convention. Consequences worth remembering:
   overflows is a hard error.
 
 Three exact scans give bit-identical radii and counts, and the shape picks
-one: the sorted window at d_x = d_y = 1 (D = 2), the pair-once scan at any
-other D while n * n <= _SCRATCH_ELEMS (n <= 256), and brute force above
-that. The sorted window and brute force share their work out in chunks to
-one thread per CPU in the process's affinity mask (numpy releases the GIL
-inside each array operation); the calling thread is one of them, so a
-single chunk starts no thread. Threads pop chunks in order from one queue,
+one: the pair-once scan at any D while n * n <= _SCRATCH_ELEMS (n <= 256),
+the sorted window at d_x = d_y = 1 (D = 2) above that, and brute force
+elsewhere. The sorted window and brute force share their work out in
+chunks to one thread per CPU in the process's affinity mask (numpy releases
+the GIL inside each array operation); the calling thread is one of them, so
+a single chunk starts no thread. Threads pop chunks in order from one queue,
 own their scratch and write disjoint rows of the result. Every reduction
 (max, partition, integer count) is order-independent, so results are
 bit-identical for any chunk size and thread count.
@@ -65,7 +65,9 @@ marginal counts are sums down the columns. Each feature costs one
 subtract, abs and max over n // 2 rows where brute force needs n, so at
 N = 200, k = 5 the scan takes 0.6 of brute force's time at
 d_x = d_y = 64 and 0.9 at d_x = d_y = 2, where the partition and the
-compares it shares with brute force dominate. It starts no thread.
+compares it shares with brute force dominate. At d_x = d_y = 1 it beats
+the sorted window too: 0.30 ms against 0.52 ms per N = 200, k = 5 scan on
+40 Gaussian and Student-t samples (2-vCPU Xeon). It starts no thread.
 
 The pair-once scan carves its planes from one byte buffer per thread, kept
 between calls (`_carve`): each plane starts on a 64-byte boundary, and the
@@ -172,10 +174,10 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
             f"k = {k} requires at least k + 1 = {k + 1} samples, got {n}"
         )
 
-    if data.d_x == data.d_y == 1:
-        scan = _sorted_window_scan
-    elif n * n <= _SCRATCH_ELEMS:
+    if n * n <= _SCRATCH_ELEMS:
         scan = _pair_once_scan
+    elif data.d_x == data.d_y == 1:
+        scan = _sorted_window_scan
     else:
         scan = _brute_force_scan
     epsilon, n_x, n_y = scan(data.x, data.y, int(k))

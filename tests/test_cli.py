@@ -6,10 +6,12 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 
+from knnmi import harness
 from knnmi.cli import main
-from knnmi.dataset import dataset_from_csv
-from knnmi.harness import RECORD_COLUMNS, SUMMARY_COLUMNS, STABILITY_COLUMNS
+from knnmi.dataset import dataset_from_csv, dataset_to_csv
+from knnmi.harness import RECORD_COLUMNS, SUMMARY_COLUMNS, STABILITY_COLUMNS, ExperimentConfig
 
 
 def run_cli(*argv):
@@ -47,6 +49,54 @@ def test_gen_requires_family_parameter(tmp_path):
     out = tmp_path / "x.csv"
     assert run_cli("gen", "--family", "gaussian", "--d", "1",
                    "--n", "10", "--seed", "1", "--out", str(out)) == 1
+
+
+@pytest.mark.parametrize("family, flag, other", [
+    ("gaussian", "--rho", "--nu"), ("student_t", "--nu", "--rho"),
+])
+def test_gen_refuses_the_other_familys_flag(tmp_path, capsys, family, flag, other):
+    # as a config refuses the other family's grid, gen refuses its flag
+    out = tmp_path / "x.csv"
+    assert run_cli("gen", "--family", family, "--d", "1", flag, "0.5", other, "0.5",
+                   "--n", "10", "--seed", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {other} does not apply to the {family} family\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, param", [("gaussian", 0.6), ("student_t", 0.5)])
+def test_gen_and_the_sweep_build_the_same_dataset(tmp_path, family, param):
+    name = harness.FAMILIES[family].param
+    gen_csv, sweep_csv = tmp_path / "gen.csv", tmp_path / "sweep.csv"
+    assert run_cli("gen", "--family", family, "--d", "3", f"--{name}", str(param),
+                   "--n", "50", "--seed", "11", "--out", str(gen_csv)) == 0
+    config = ExperimentConfig(family=family, base_seed=1, dims=[3], n=50, k=3,
+                              **{f"{name}_grid": [param]})
+    dataset_to_csv(harness._generate(config, 3, param, 11), sweep_csv)
+    assert gen_csv.read_bytes() == sweep_csv.read_bytes()
+
+
+def test_oversized_sample_is_refused_before_allocation(tmp_path, capsys, monkeypatch):
+    # both commands exit 1 naming n and d; the stubs make sure nothing is drawn
+    def refuse(spec):
+        raise AssertionError(f"generation reached for {spec}")
+
+    monkeypatch.setattr(harness, "generate_gaussian", refuse)
+    monkeypatch.setattr(harness, "generate_student_t", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "gaussian", "base_seed": 1, "dims": [100000000],
+                               "rho_grid": [0.5], "n": 3, "k": 1, "repetitions": 1}))
+    for argv in (
+        ("gen", "--family", "gaussian", "--d", "100000000", "--rho", "0.5", "--n", "3",
+         "--seed", "1", "--out", str(tmp_path / "g.csv")),
+        ("gen", "--family", "student_t", "--d", "3", "--nu", "1", "--n", "100000000",
+         "--seed", "1", "--out", str(tmp_path / "g.csv")),
+        ("sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")),
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "samples at d = " in err and "more than the 67108864 allowed" in err, err
+    assert not (tmp_path / "g.csv").exists() and not (tmp_path / "r.csv").exists()
 
 
 def test_estimate_reports_json(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from knnmi.datagen import (
+    MAX_SAMPLE_VALUES,
     GaussianSpec,
     StudentTSpec,
     generate_gaussian,
@@ -114,6 +115,22 @@ class TestSeedRange:
     def test_rejected(self, spec, seed):
         with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*128\)"):
             spec(seed)
+
+
+@pytest.mark.parametrize("spec", [
+    lambda d, n: GaussianSpec(d=d, rho=0.5, n=n, seed=1),
+    lambda d, n: StudentTSpec(d=d, nu=1.0, n=n, seed=1),
+])
+class TestSampleSize:
+    # the specs are only built here: a spec past the bound must never reach numpy
+    def test_bound_is_accepted(self, spec):
+        made = spec(2**20, MAX_SAMPLE_VALUES // 2**20)
+        assert made.n * made.d == MAX_SAMPLE_VALUES
+
+    @pytest.mark.parametrize("d, n", [(100_000_000, 3), (MAX_SAMPLE_VALUES + 1, 1), (1, MAX_SAMPLE_VALUES + 1)])
+    def test_oversized_sample_is_refused(self, spec, d, n):
+        with pytest.raises(ConfigurationError, match=f"n = {n} samples at d = {d} make"):
+            spec(d, n)
 
 
 class TestCsvInterchange:

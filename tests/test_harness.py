@@ -14,8 +14,11 @@ from knnmi.harness import (
     DEFAULT_NU_GRID,
     DEFAULT_RHO_GRID,
     DEFAULT_STUDENT_T_DIMS,
+    FAMILIES,
+    GAUSSIAN,
     RECORD_COLUMNS,
     RHO_GENERATION_SUBSTITUTE,
+    STUDENT_T,
     ExperimentConfig,
     RunRecord,
     Status,
@@ -105,6 +108,8 @@ class TestConfig:
         dict(family="student_t", nu_grid=[float("inf")]),
         dict(family="student_t", nu_grid=[float("nan")]),
         dict(rho_grid=[float("nan")]),
+        dict(family=["gaussian"]),
+        dict(dims=[1, 100_000_000], n=3, k=1),  # refused before any cell allocates it
     ])
     def test_validation(self, bad):
         kwargs = dict(family="gaussian", base_seed=1)
@@ -122,6 +127,11 @@ class TestConfig:
         # a grid the family never reads would be stored unchecked and silently ignored
         with pytest.raises(ConfigurationError, match=f"{name} does not apply to the {family} family"):
             ExperimentConfig(family=family, base_seed=1, **{name: grid})
+
+    def test_every_family_grid_is_a_config_field(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {f"{family.param}_grid" for family in FAMILIES.values()} <= names
+        assert list(FAMILIES) == [GAUSSIAN, STUDENT_T]
 
     def test_numpy_scalars_accepted(self):
         cfg = ExperimentConfig(
@@ -216,6 +226,18 @@ class TestRunSweep:
         assert all(r.mi_ksg is None and r.nmi is None for r in by_backend["baseline"])
         assert all(r.status == Status.OK.value for r in by_backend["proposed"])
         assert all(math.isfinite(r.nmi) for r in by_backend["proposed"])
+
+    def test_generators_and_truths_are_looked_up_at_call_time(self, monkeypatch):
+        # a tracer rebinds these module attributes; the family table must call the rebinding
+        import knnmi.harness as harness
+
+        seen = set()
+        for name in ("generate_gaussian", "generate_student_t", "gaussian_truth", "student_t_truth"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, f=real, n=name: (seen.add(n), f(*a))[1])
+        run_sweep(small_config(n=20, repetitions=1, rho_grid=[0.5]))
+        run_sweep(small_config(family="student_t", n=20, repetitions=1, rho_grid=None, nu_grid=[1.0]))
+        assert seen == {"generate_gaussian", "generate_student_t", "gaussian_truth", "student_t_truth"}
 
     def test_duplicate_points_recorded(self, monkeypatch):
         import knnmi.harness as harness

@@ -334,9 +334,9 @@ def test_overflowing_radius_is_a_typed_error(workers, monkeypatch):
 
 
 def test_scan_is_chosen_by_shape(monkeypatch):
-    # d_x = d_y = 1 takes the sorted-window scan at any n; every other shape
-    # takes the pair-once scan while n * n <= _SCRATCH_ELEMS (n <= 256) and
-    # brute force above that
+    # every shape takes the pair-once scan while n * n <= _SCRATCH_ELEMS
+    # (n <= 256); above that d_x = d_y = 1 takes the sorted-window scan and
+    # every other shape brute force
     used = []
     for scan in SCANS:
         real = getattr(neighbors, f"_{scan}_scan")
@@ -345,7 +345,8 @@ def test_scan_is_chosen_by_shape(monkeypatch):
         )
     rng = np.random.default_rng(43)
     for n, d_x, d_y, want in (
-        (30, 1, 1, "sorted_window"), (300, 1, 1, "sorted_window"),
+        (30, 1, 1, "pair_once"), (256, 1, 1, "pair_once"),
+        (257, 1, 1, "sorted_window"), (300, 1, 1, "sorted_window"),
         (30, 2, 1, "pair_once"), (30, 1, 2, "pair_once"), (30, 1, 0, "pair_once"),
         (256, 2, 1, "pair_once"), (257, 2, 1, "brute_force"), (257, 1, 0, "brute_force"),
     ):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from knnmi.harness import DEFAULT_NU_GRID
 from knnmi.truth import TruthRecord, c_term, f_aux, gaussian_truth, student_t_truth
 
 # f(x) = lnGamma(x/2) - (x/2) psi(x/2), frozen oracle values
@@ -101,6 +102,18 @@ class TestStudentTTruth:
         assert c_term(1.0, 1) == pytest.approx(
             f_aux(1.0) + f_aux(3.0) - 2.0 * f_aux(2.0), abs=1e-14
         )
+
+    def test_one_array_pass_equals_the_scalar_composition_bit_for_bit(self):
+        # student_t_truth evaluates f at nu, nu + 2d and nu + d in one array
+        # pass; the sweep's truth column must not move by a bit
+        for nu in DEFAULT_NU_GRID + [1e-3, 50.0]:
+            for d in range(1, 513):
+                t = student_t_truth(d, nu)
+                mi = 0.0 + c_term(nu, d)
+                h = 0.5 * d * math.log(nu * math.pi) + f_aux(nu) - f_aux(nu + d)
+                nmi = min(1.0, mi / h) if h > 0.0 else None
+                assert (t.mi_true, t.h_marginal_true, t.nmi_true) == (mi, h, nmi), (nu, d)
+                assert type(t.mi_true) is float and type(t.h_marginal_true) is float
 
     def test_c_positive_on_benchmark_grid(self):
         for nu in (0.125, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0):
