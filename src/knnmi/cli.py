@@ -153,20 +153,16 @@ def _cmd_gen(args) -> None:
 
 def _cmd_estimate(args) -> None:
     data = dataset_from_csv(args.data, d_x=args.dx, d_y=args.dy)
-    backend = Backend(args.backend)
     try:
-        report = estimate(data, k=args.k, backend=backend)
-    except NonFiniteNormalizationError:
-        payload = {
-            "status": Status.OVERFLOW.value,
-            "backend": backend.value,
-            "n_samples": data.n,
-            "k": args.k,
-        }
+        result = estimate(data, k=args.k, backend=Backend(args.backend))
+    except NonFiniteNormalizationError as exc:
+        result = exc.result
+    status = Status.of(result)
+    if status is Status.OVERFLOW:
+        payload = {"backend": result.backend.value, "n_samples": data.n, "k": args.k}
     else:
-        status = Status.OK if report.nmi is not None else Status.UNDEFINED_NMI
-        payload = {"status": status.value, **asdict(report), "backend": report.backend.value}
-    print(json.dumps(payload))
+        payload = {**asdict(result), "backend": result.backend.value}
+    print(json.dumps({"status": status.value, **payload}))
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer, positive
 
 GENERATOR_ID = "numpy-philox-4x64"
 
@@ -44,17 +44,14 @@ def check_sample_size(n: int, d: int) -> None:
 
 
 def _check_sample(spec) -> None:
-    """The checks both specs share: d and n at least 1, a sample within
+    """The checks both specs share: d and n integers >= 1, a sample within
     MAX_SAMPLE_VALUES, and a seed in Philox's 128-bit key range."""
-    if spec.d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {spec.d}")
-    if spec.n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {spec.n}")
-    check_sample_size(spec.n, spec.d)
+    d = integer("d", spec.d, 1)
+    check_sample_size(integer("n", spec.n, 1), d)
     # Philox takes a 128-bit key; numpy rejects anything outside it only at generation
-    seed = spec.seed
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**128:
-        raise ConfigurationError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    rule = f"seed must be an integer in [0, 2**128), got {spec.seed!r}"
+    if integer("seed", spec.seed, 0, rule) >= 2**128:
+        raise ConfigurationError(rule)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,7 @@ class StudentTSpec:
 
     def __post_init__(self):
         _check_sample(self)
-        if not (self.nu > 0.0 and math.isfinite(self.nu)):
-            raise ConfigurationError(f"nu must be positive, got {self.nu}")
+        positive("nu", self.nu)
 
 
 def _generator(seed: int) -> np.random.Generator:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,7 @@ def dataset_from_csv(path, d_x=None, d_y=None) -> Dataset:
             )
     elif d_x is None or d_y is None:
         raise ConfigurationError("give both d_x and d_y, or neither")
-    elif d_x < 0 or d_y < 0:
-        raise ConfigurationError(f"d_x and d_y must be >= 0, got {d_x} and {d_y}")
+    d_x, d_y = integer("d_x", d_x, 0), integer("d_y", d_y, 0)
     if d_x + d_y != n_cols:
         raise ConfigurationError(
             f"{path}: d_x + d_y = {d_x + d_y} does not match {n_cols} columns"

@@ -1,8 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two argument rules."""
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
     """Input the program cannot use: flags, config, data or records file, or the samples."""
+
+
+def integer(name: str, value, low=None, message=None) -> int:
+    """value as an int: a Python or numpy integer, never a bool, and >= low if
+    given; otherwise ConfigurationError(message), by default one naming name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigurationError(message or f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def positive(name: str, value) -> np.ndarray:
+    """value as a float64 array (0-d for a number): real numbers, never bools,
+    every entry positive and finite."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "iuf":
+        arr = arr.astype(np.float64, copy=False)
+        if np.all(np.isfinite(arr)) and np.all(arr > 0.0):
+            return arr
+    got = f", got {value!r}" if arr.ndim == 0 else ""
+    raise ConfigurationError(f"{name} must be positive and finite{got}")
 
 
 class DuplicatePointError(ConfigurationError):

@@ -23,7 +23,7 @@ raw records can be re-analyzed without re-running the O(N^2) estimation.
 import hashlib
 import json
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
@@ -33,7 +33,7 @@ import numpy as np
 
 from .datagen import GaussianSpec, StudentTSpec, check_sample_size, generate_gaussian, generate_student_t
 from .dataset import Dataset, dataset_checksum, read_csv, write_csv
-from .errors import ConfigurationError, DuplicatePointError
+from .errors import ConfigurationError, DuplicatePointError, integer, positive
 from .estimators import estimate_backends
 from .neighbors import compute_knn_radii
 from .scaling import Backend, NormalizationResult, normalize
@@ -58,36 +58,37 @@ class Status(str, Enum):
     UNDEFINED_NMI = "undefined_nmi"
     DUPLICATE_POINTS = "duplicate_points"
 
+    @classmethod
+    def of(cls, result) -> "Status":
+        """The status of one backend's estimate_backends entry: overflow for a
+        NormalizationResult (ln V not finite), else ok or, without an NMI, undefined_nmi."""
+        if isinstance(result, NormalizationResult):
+            return cls.OVERFLOW
+        return cls.OK if result.nmi is not None else cls.UNDEFINED_NMI
 
-_INTEGERS = (int, np.integer)
+
 _REALS = (int, float, np.integer, np.floating)
 _DIMS_RULE = "dims must be a non-empty list of positive integers"
 
 
-def _integer(name: str, value, low=None) -> int:
-    """value as an int: a Python or numpy integer, never a bool, and >= low if given."""
-    if isinstance(value, bool) or not isinstance(value, _INTEGERS) or (low is not None and value < low):
-        bound = "" if low is None else f" >= {low}"
-        raise ConfigurationError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
-
-
 def _dims(values) -> list:
     """values as a non-empty list of ints >= 1; ConfigurationError(_DIMS_RULE) otherwise."""
-    try:
-        dims = [_integer("dims entry", d, 1) for d in values]
-    except ConfigurationError:
-        raise ConfigurationError(_DIMS_RULE) from None
+    dims = [integer("dims entry", d, 1, _DIMS_RULE) for d in values]
     if not dims:
         raise ConfigurationError(_DIMS_RULE)
     return dims
 
 
-class Family(namedtuple("Family", "param default_grid valid rule default_dims "
+def _unit_interval(name: str, values) -> None:
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise ConfigurationError(f"{name} must lie in [0, 1]")
+
+
+class Family(namedtuple("Family", "param default_grid check default_dims "
                                   "spec generate truth substitutes")):
     """One family: its parameter (the spec field, the gen flag and f"{param}_grid"),
-    default grid, the test its grid values pass and that test in words, default
-    dims, spec, generator, truth, and the grid points drawn at a substitute."""
+    default grid, the check(name, values) its grid values pass, default dims,
+    spec, generator, truth, and the grid points drawn at a substitute."""
 
     def dataset(self, d: int, param: float, n: int, seed: int) -> Dataset:
         """n samples at dimension d drawn at `param`: gen's and the sweep's one path to data."""
@@ -97,12 +98,11 @@ class Family(namedtuple("Family", "param default_grid valid rule default_dims "
 # generate and truth look their function up at call time, so a rebound module
 # attribute (a tracer's wrapper, a test's stub) still reaches them
 FAMILIES = {
-    GAUSSIAN: Family("rho", DEFAULT_RHO_GRID, lambda r: 0.0 <= r <= 1.0, "lie in [0, 1]",
-                     DEFAULT_GAUSSIAN_DIMS, GaussianSpec, lambda spec: generate_gaussian(spec),
-                     lambda d, rho: gaussian_truth(d, rho), {1.0: RHO_GENERATION_SUBSTITUTE}),
-    STUDENT_T: Family("nu", DEFAULT_NU_GRID, lambda v: 0.0 < v < np.inf, "be positive and finite",
-                      DEFAULT_STUDENT_T_DIMS, StudentTSpec, lambda spec: generate_student_t(spec),
-                      lambda d, nu: student_t_truth(d, nu), {}),
+    GAUSSIAN: Family("rho", DEFAULT_RHO_GRID, _unit_interval, DEFAULT_GAUSSIAN_DIMS, GaussianSpec,
+                     lambda spec: generate_gaussian(spec), lambda d, rho: gaussian_truth(d, rho),
+                     {1.0: RHO_GENERATION_SUBSTITUTE}),
+    STUDENT_T: Family("nu", DEFAULT_NU_GRID, positive, DEFAULT_STUDENT_T_DIMS, StudentTSpec,
+                      lambda spec: generate_student_t(spec), lambda d, nu: student_t_truth(d, nu), {}),
 }
 
 
@@ -139,16 +139,15 @@ class ExperimentConfig:
                                              for v in grid):
             raise ConfigurationError(f"{name} must be a list of numbers, got {grid!r}")
         grid = [float(v) for v in grid]
-        if not all(map(family.valid, grid)):
-            raise ConfigurationError(f"{name} values must {family.rule}")
+        family.check(f"{name} values", grid)
         setattr(self, name, grid)
         for name, low in (("n", 2), ("k", 1), ("repetitions", 1)):
-            setattr(self, name, _integer(name, getattr(self, name), low))
+            setattr(self, name, integer(name, getattr(self, name), low))
         for d in self.dims:
             check_sample_size(self.n, d)
         if self.k >= self.n:
             raise ConfigurationError(f"k = {self.k} must be smaller than n = {self.n}")
-        self.base_seed = _integer("base_seed", self.base_seed)
+        self.base_seed = integer("base_seed", self.base_seed)
         if not isinstance(self.backends, list):
             raise ConfigurationError(f"backends must be a list of names, got {self.backends!r}")
         backends = [Backend(b) for b in self.backends]
@@ -213,7 +212,8 @@ RECORD_COLUMNS = [f.name for f in fields(RunRecord)]
 
 def derive_seed(base_seed: int, family: str, d: int, param: float, repetition: int) -> int:
     """Stable 64-bit cell seed from the sweep coordinates."""
-    text = f"{int(base_seed)}|{family}|{int(d)}|{float(param)!r}|{int(repetition)}"
+    text = (f"{integer('base_seed', base_seed)}|{family}|{integer('d', d, 1)}|{float(param)!r}|"
+            f"{integer('repetition', repetition, 0)}")
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -246,14 +246,9 @@ def run_sweep(config: ExperimentConfig) -> list:
                 wall_time_ms = (time.perf_counter() - start) * 1000.0
 
                 for backend, result in zip(config.backends, results):
-                    values = dict.fromkeys(_ESTIMATE_FIELDS)
-                    if result is None:
-                        status = Status.DUPLICATE_POINTS
-                    elif isinstance(result, NormalizationResult):
-                        status = Status.OVERFLOW
-                    else:
-                        values = {name: getattr(result, name) for name in _ESTIMATE_FIELDS}
-                        status = Status.OK if result.nmi is not None else Status.UNDEFINED_NMI
+                    status = Status.DUPLICATE_POINTS if result is None else Status.of(result)
+                    # None and a NormalizationResult have none of these fields
+                    values = {name: getattr(result, name, None) for name in _ESTIMATE_FIELDS}
                     records.append(
                         RunRecord(
                             family=config.family,
@@ -304,22 +299,11 @@ def summarize(records) -> list:
         ok_values = [r.nmi for r in cell if r.status == Status.OK.value]
         mean_nmi = float(np.mean(ok_values)) if ok_values else None
         std_nmi = float(np.std(ok_values, ddof=1)) if len(ok_values) >= 2 else None
-        rows.append(
-            SummaryRow(
-                family=family,
-                d=d,
-                param_name=param_name,
-                param=param,
-                backend=backend,
-                n_ok=len(ok_values),
-                mean_nmi=mean_nmi,
-                std_nmi=std_nmi,
-                overflow_count=sum(r.status == Status.OVERFLOW.value for r in cell),
-                undefined_count=sum(r.status == Status.UNDEFINED_NMI.value for r in cell),
-                duplicate_count=sum(r.status == Status.DUPLICATE_POINTS.value for r in cell),
-                nmi_true=cell[0].nmi_true,
-            )
-        )
+        statuses = Counter(r.status for r in cell)
+        # overflow_count, undefined_count and duplicate_count follow Status's order after ok
+        counts = [statuses[s.value] for s in Status if s is not Status.OK]
+        rows.append(SummaryRow(family, d, param_name, param, backend, len(ok_values),
+                               mean_nmi, std_nmi, *counts, cell[0].nmi_true))
     return rows
 
 

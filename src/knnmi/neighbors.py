@@ -90,7 +90,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import Dataset
-from .errors import ConfigurationError, DuplicatePointError, RadiusOverflowError
+from .errors import ConfigurationError, DuplicatePointError, RadiusOverflowError, integer
 
 # doubles per scratch plane (512 KiB). Brute force: per thread, so one
 # thread's four float planes and one bool plane fit in 4 MiB of L2; fastest
@@ -167,8 +167,7 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
     Either error names the first failing sample in row order.
     """
     n = data.n
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ConfigurationError(f"k must be a positive integer, got {k!r}")
+    k = integer("k", k, 1)
     if k >= n:
         raise ConfigurationError(
             f"k = {k} requires at least k + 1 = {k + 1} samples, got {n}"
@@ -180,14 +179,14 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
         scan = _sorted_window_scan
     else:
         scan = _brute_force_scan
-    epsilon, n_x, n_y = scan(data.x, data.y, int(k))
+    epsilon, n_x, n_y = scan(data.x, data.y, k)
 
     bad = np.flatnonzero((epsilon == 0.0) | (epsilon == np.inf))
     if bad.size:
         i = int(bad[0])
         raise (DuplicatePointError if epsilon[i] == 0.0 else RadiusOverflowError)(i)
 
-    return RadiusSet(epsilon=epsilon, n_x=n_x, n_y=n_y, k=int(k))
+    return RadiusSet(epsilon=epsilon, n_x=n_x, n_y=n_y, k=k)
 
 
 @np.errstate(over="ignore")

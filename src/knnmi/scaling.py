@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer, positive
 
 
 class Backend(str, enum.Enum):
@@ -79,14 +79,10 @@ def normalize(epsilon, d_joint: int, backend: Backend) -> NormalizationResult:
     it comes back with finite False.
     """
     backend = Backend(backend)
-    eps = np.asarray(epsilon, dtype=np.float64).reshape(-1)
+    eps = positive("radii", epsilon).reshape(-1)
     if eps.size == 0:
         raise ConfigurationError("radius vector is empty")
-    if not np.all(np.isfinite(eps)) or np.any(eps <= 0.0):
-        raise ConfigurationError("radii must be positive and finite")
-    if not isinstance(d_joint, (int, np.integer)) or d_joint < 1:
-        raise ConfigurationError(f"joint dimension must be a positive integer, got {d_joint!r}")
-    d = int(d_joint)
+    d = integer("d_joint", d_joint, 1)
     eps_max = float(eps.max())
 
     with np.errstate(over="ignore", under="ignore"):

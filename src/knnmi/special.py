@@ -12,10 +12,12 @@ de Moivre / Stirling series there. With Bernoulli terms through x**-14
 is below 1e-15, leaving the 1e-12 accuracy target ample headroom.
 
 Scalar input returns a float; array input returns an ndarray of the same
-shape. Non-positive or non-finite arguments raise ValueError.
+shape. Non-positive or non-finite arguments raise ConfigurationError.
 """
 
 import numpy as np
+
+from .errors import positive
 
 _SHIFT_THRESHOLD = 10.0
 
@@ -53,9 +55,7 @@ def _shifted(x, name, step):
 
     Only the entries still below 10 are shifted, so each pass gets cheaper.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError(f"{name} requires positive finite arguments")
+    arr = positive(f"{name} arguments", x)
     work = arr.reshape(-1).copy()
     acc = np.zeros_like(work)
     small = np.flatnonzero(work < _SHIFT_THRESHOLD)

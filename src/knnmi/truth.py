@@ -16,7 +16,9 @@ draw pick up mutual information from the scale variable alone:
 f decreases monotonically to -infinity (roughly -x/2 for large x), but the
 combination c(nu, d) stays positive and vanishes as nu grows, recovering
 the Gaussian limit. A non-positive Student-t marginal entropy yields an
-undefined NMI (None), mirroring the estimator-side convention.
+undefined NMI (None), mirroring the estimator-side convention. Arguments
+out of range (d an integer >= 1, rho in [0, 1], nu positive and finite) raise
+ConfigurationError.
 """
 
 import math
@@ -25,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigurationError, integer, positive
 from .special import digamma, ln_gamma
 
 LN_2_PI_E = 2.8378770664093453  # ln(2 pi e)
@@ -42,8 +45,9 @@ class TruthRecord:
 
 def gaussian_truth(d: int, rho: float) -> TruthRecord:
     """Reference values for the correlated-Gaussian family; 0 <= rho <= 1."""
+    d = integer("d", d, 1)
     if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+        raise ConfigurationError(f"rho must lie in [0, 1], got {rho}")
     h = 0.5 * d * LN_2_PI_E
     if rho == 1.0:
         return TruthRecord(mi_true=math.inf, h_marginal_true=h, nmi_true=1.0)
@@ -73,10 +77,8 @@ def student_t_truth(d: int, nu: float, latent_mi: float = 0.0) -> TruthRecord:
     0 for the identity dispersion used throughout the benchmarks, but a
     correlated latent value from gaussian_truth may be composed in.
     """
-    if not (nu > 0.0 and math.isfinite(nu)):
-        raise ValueError(f"nu must be positive, got {nu}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    positive("nu", nu)
+    d = integer("d", d, 1)
     # f at nu, nu + 2d and nu + d in one array pass: the float operations of
     # c_term and f_aux, so the values are bit-identical to theirs
     f_nu, f_2d, f_d = map(float, f_aux(np.array([nu, nu + 2.0 * d, nu + d])))

@@ -112,6 +112,17 @@ def test_estimate_reports_json(tmp_path, capsys):
     assert np.isfinite(payload["nmi"])
 
 
+def test_estimate_overflow_payload(tmp_path, capsys):
+    # D = 1024: the baseline's ln V overflows, and the payload holds no estimate
+    data_path = tmp_path / "wide.csv"
+    run_cli("gen", "--family", "gaussian", "--d", "512", "--rho", "0.0",
+            "--n", "100", "--seed", "5", "--out", str(data_path))
+    capsys.readouterr()
+    assert run_cli("estimate", "--data", str(data_path), "--k", "4", "--backend", "baseline") == 0
+    assert capsys.readouterr().out == (
+        '{"status": "overflow", "backend": "baseline", "n_samples": 100, "k": 4}\n')
+
+
 def test_estimate_infers_dims_from_header(tmp_path, capsys):
     data_path = tmp_path / "data.csv"
     run_cli("gen", "--family", "gaussian", "--d", "3", "--rho", "0.2",
@@ -133,11 +144,11 @@ def test_estimate_negative_dims_is_config_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     run_cli("gen", "--family", "gaussian", "--d", "1", "--rho", "0.5",
             "--n", "20", "--seed", "1", "--out", str(path))
-    for dims in (("--dx", "-1", "--dy", "3"), ("--dx", "3", "--dy", "-1"),
-                 ("--dx=-1", "--dy=3")):
+    for name, dims in (("d_x", ("--dx", "-1", "--dy", "3")), ("d_y", ("--dx", "3", "--dy", "-1")),
+                       ("d_x", ("--dx=-1", "--dy=3"))):
         capsys.readouterr()
         assert run_cli("estimate", "--data", str(path), *dims) == 1, dims
-        assert "must be >= 0" in capsys.readouterr().err, dims
+        assert f"{name} must be an integer >= 0, got -1" in capsys.readouterr().err, dims
 
 
 def test_estimate_overflowing_radius_is_named(tmp_path, capsys):

@@ -324,6 +324,12 @@ class TestSummarize:
         assert rows[0].n_ok == 2
         assert rows[0].overflow_count == 1 and rows[0].undefined_count == 1
 
+    def test_each_status_is_counted_in_its_own_column(self):
+        statuses = ["ok"] * 4 + ["overflow"] + ["undefined_nmi"] * 2 + ["duplicate_points"] * 3
+        (row,) = summarize([self.rec(repetition=i, status=s, nmi=0.25 if s == "ok" else None)
+                            for i, s in enumerate(statuses)])
+        assert (row.n_ok, row.overflow_count, row.undefined_count, row.duplicate_count) == (4, 1, 2, 3)
+
     def test_single_ok_value_has_no_std(self):
         rows = summarize([self.rec()])
         assert rows[0].mean_nmi == pytest.approx(0.25) and rows[0].std_nmi is None

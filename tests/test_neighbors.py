@@ -625,7 +625,7 @@ def test_k_out_of_range():
 def test_k_must_be_an_integer_not_a_bool(bad):
     # True == 1 as an int, but a flag passed as k is a caller's mistake
     data = random_dataset(np.random.default_rng(5), 10, 2, 1)
-    with pytest.raises(ConfigurationError, match="k must be a positive integer"):
+    with pytest.raises(ConfigurationError, match="k must be an integer >= 1"):
         compute_knn_radii(data, bad)
 
 

@@ -1,0 +1,148 @@
+"""The package's argument rules and a backend's status, each decided in one place.
+
+errors.integer: a Python or numpy integer, never a bool, >= a lower bound
+where one applies. errors.positive: real numbers, never bools, every entry
+positive and finite. Every call site refuses a bad value with a
+ConfigurationError whose message starts with the argument's name.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from knnmi import (
+    Backend,
+    ConfigurationError,
+    Dataset,
+    EstimateReport,
+    ExperimentConfig,
+    GaussianSpec,
+    NormalizationResult,
+    Status,
+    StudentTSpec,
+    compute_knn_radii,
+    dataset_from_csv,
+    dataset_to_csv,
+    derive_seed,
+    digamma,
+    gaussian_truth,
+    ln_gamma,
+    normalize,
+    student_t_truth,
+)
+from knnmi.errors import integer, positive
+
+DATA = Dataset(x=np.arange(10.0)[:, None], y=np.arange(10.0)[::-1, None] ** 2)
+
+
+def _config(**fields):
+    return ExperimentConfig(**{"family": "gaussian", "base_seed": 1, "dims": [1], "n": 10, "k": 2,
+                               **fields})
+
+
+# site: (call with the value under test, the argument's name the message starts with,
+# lowest legal value)
+INTEGER_SITES = {
+    "config.n": (lambda v: _config(n=v), "n", 2),
+    "config.k": (lambda v: _config(k=v), "k", 1),
+    "config.repetitions": (lambda v: _config(repetitions=v), "repetitions", 1),
+    "config.base_seed": (lambda v: _config(base_seed=v), "base_seed", None),
+    "config.dims": (lambda v: _config(dims=[v]), "dims", 1),
+    "compute_knn_radii.k": (lambda v: compute_knn_radii(DATA, v), "k", 1),
+    "normalize.d_joint": (lambda v: normalize([1.0, 2.0], v, "proposed"), "d_joint", 1),
+    "GaussianSpec.d": (lambda v: GaussianSpec(d=v, rho=0.5, n=10, seed=1), "d", 1),
+    "GaussianSpec.n": (lambda v: GaussianSpec(d=1, rho=0.5, n=v, seed=1), "n", 1),
+    "GaussianSpec.seed": (lambda v: GaussianSpec(d=1, rho=0.5, n=10, seed=v), "seed", 0),
+    "StudentTSpec.d": (lambda v: StudentTSpec(d=v, nu=1.0, n=10, seed=1), "d", 1),
+    "StudentTSpec.n": (lambda v: StudentTSpec(d=1, nu=1.0, n=v, seed=1), "n", 1),
+    "StudentTSpec.seed": (lambda v: StudentTSpec(d=1, nu=1.0, n=10, seed=v), "seed", 0),
+    "gaussian_truth.d": (lambda v: gaussian_truth(v, 0.5), "d", 1),
+    "student_t_truth.d": (lambda v: student_t_truth(v, 1.0), "d", 1),
+    "derive_seed.base_seed": (lambda v: derive_seed(v, "gaussian", 2, 0.5, 0), "base_seed", None),
+    "derive_seed.d": (lambda v: derive_seed(1, "gaussian", v, 0.5, 0), "d", 1),
+    "derive_seed.repetition": (lambda v: derive_seed(1, "gaussian", 2, 0.5, v), "repetition", 0),
+    "dataset_from_csv.d_x": (lambda v, path: dataset_from_csv(path, d_x=v, d_y=1), "d_x", 0),
+    "dataset_from_csv.d_y": (lambda v, path: dataset_from_csv(path, d_x=1, d_y=v), "d_y", 0),
+}
+
+POSITIVE_SITES = {
+    "normalize.radii": (lambda v: normalize(v, 2, "proposed"), "radii"),
+    "StudentTSpec.nu": (lambda v: StudentTSpec(d=1, nu=v, n=10, seed=1), "nu"),
+    "student_t_truth.nu": (lambda v: student_t_truth(1, v), "nu"),
+    # a bool or text entry is not a number; a number must be positive and finite
+    "config.nu_grid": (lambda v: _config(family="student_t", nu_grid=[1.0, v]), "nu_grid( values)?"),
+    "digamma": (digamma, "digamma arguments"),
+    "ln_gamma": (ln_gamma, "ln_gamma arguments"),
+}
+
+
+@pytest.mark.parametrize("site, bad", [
+    # bool, float, nan, inf and text everywhere; the value below the lowest legal one
+    (site, bad) for site, (_, _, low) in INTEGER_SITES.items()
+    for bad in [True, np.True_, 2.0, 2.5, math.nan, math.inf, "2"] + ([] if low is None else [low - 1])
+])
+def test_integer_sites_refuse_and_name_the_argument(site, bad, tmp_path):
+    call, name, _ = INTEGER_SITES[site]
+    args = (bad,)
+    if site.startswith("dataset_from_csv"):  # two columns, so d_x = d_y = True would fit
+        args = (bad, tmp_path / "d.csv")
+        dataset_to_csv(DATA, args[1])
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        call(*args)
+
+
+@pytest.mark.parametrize("bad", [0, 0.0, -1.0, math.nan, math.inf, -math.inf, True, "1.5"])
+@pytest.mark.parametrize("site", POSITIVE_SITES)
+def test_positive_sites_refuse_and_name_the_argument(site, bad):
+    call, name = POSITIVE_SITES[site]
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("site", ["normalize.radii", "digamma", "ln_gamma"])
+def test_positive_checks_every_entry(site, bad):
+    call, name = POSITIVE_SITES[site]
+    with pytest.raises(ConfigurationError, match=f"^{name} must be positive and finite$"):
+        call(np.array([[1.0, 2.0], [3.0, bad]]))
+
+
+@pytest.mark.parametrize("value", [0, 7, np.int8(3), np.uint64(2**64 - 1), 2**130])
+def test_integer_accepts_python_and_numpy_integers(value):
+    got = integer("v", value, 0)
+    assert type(got) is int and got == value
+
+
+def test_integer_message_names_the_bound():
+    with pytest.raises(ConfigurationError, match=r"^k must be an integer >= 1, got 0$"):
+        integer("k", 0, 1)
+    with pytest.raises(ConfigurationError, match=r"^seed must be an integer, got 1\.5$"):
+        integer("seed", 1.5)
+
+
+@pytest.mark.parametrize("value", [1, 0.5, np.float32(2.0), [1, 2], np.array([[1e-300, 1e300]])])
+def test_positive_returns_float64(value):
+    got = positive("v", value)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.asarray(value, dtype=np.float64))
+
+
+def test_positive_refuses_bool_and_text_arrays():
+    for value in (np.array([True, True]), ["1.0", "2.0"], np.array([1 + 1j]), 10**400):
+        with pytest.raises(ConfigurationError, match="^v must be positive and finite"):
+            positive("v", value)
+
+
+def _report(nmi):
+    return EstimateReport(mi_ksg=0.1, h_x=1.0, h_y=1.0, h_xy=1.9, mi_from_entropies=0.1, nmi=nmi,
+                          backend=Backend.PROPOSED, n_samples=10, k=2)
+
+
+def test_status_of_a_backend_result():
+    overflow = NormalizationResult(ln_v=math.inf, backend=Backend.BASELINE, epsilon_max=2.0,
+                                   d_joint=1024)
+    assert Status.of(overflow) is Status.OVERFLOW
+    assert Status.of(_report(0.1)) is Status.OK
+    assert Status.of(_report(0.0)) is Status.OK
+    assert Status.of(_report(None)) is Status.UNDEFINED_NMI
