@@ -14,8 +14,8 @@ from dataclasses import asdict
 from . import __version__
 from .datagen import GENERATOR_ID
 from .dataset import dataset_from_csv, dataset_to_csv
-from .errors import ConfigurationError, NonFiniteNormalizationError
-from .estimators import estimate
+from .errors import ConfigurationError
+from .estimators import estimate_backends
 from .harness import (
     FAMILIES,
     ExperimentConfig,
@@ -29,6 +29,7 @@ from .harness import (
     write_stability_csv,
     write_summary_csv,
 )
+from .neighbors import compute_knn_radii
 from .scaling import Backend
 
 
@@ -153,10 +154,8 @@ def _cmd_gen(args) -> None:
 
 def _cmd_estimate(args) -> None:
     data = dataset_from_csv(args.data, d_x=args.dx, d_y=args.dy)
-    try:
-        result = estimate(data, k=args.k, backend=Backend(args.backend))
-    except NonFiniteNormalizationError as exc:
-        result = exc.result
+    backends = [Backend(args.backend)]  # a bad name is refused before the scan
+    (result,) = estimate_backends(compute_knn_radii(data, args.k), data.d_x, data.d_y, backends)
     status = Status.of(result)
     if status is Status.OVERFLOW:
         payload = {"backend": result.backend.value, "n_samples": data.n, "k": args.k}

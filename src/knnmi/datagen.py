@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigurationError, integer, positive
+from .errors import ConfigurationError, integer, positive, real
 
 GENERATOR_ID = "numpy-philox-4x64"
 
@@ -65,7 +65,7 @@ class GaussianSpec:
 
     def __post_init__(self):
         _check_sample(self)
-        if not 0.0 <= self.rho < 1.0:
+        if real("rho", self.rho, 0, 1) == 1.0:
             raise ConfigurationError(
                 f"rho must lie in [0, 1) for generation, got {self.rho}"
             )

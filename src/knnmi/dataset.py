@@ -83,13 +83,15 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def read_csv(path, casts):
+def read_csv(path, casts, check=lambda row: None):
     """(column names, rows); each row is parsed as it is iterated.
 
     `casts` is zipped with each row's fields: one parser per column, or
-    itertools.repeat(float) for all. Rows are counted by file line and blank
-    lines skipped. Non-ASCII bytes, no header, a wrong field count or a cell
-    its cast refuses raise ConfigurationError.
+    itertools.repeat(float) for all. `check` sees each parsed row and returns
+    None, or (column index, reason) for a row the file must not hold. Rows are
+    counted by file line and blank lines skipped. Non-ASCII bytes, no header,
+    a wrong field count, a cell its cast refuses or a row `check` refuses
+    raise ConfigurationError.
     """
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -99,10 +101,10 @@ def read_csv(path, casts):
     names = lines[0].strip().split(",") if lines else [""]
     if names == [""]:
         raise ConfigurationError(f"{path}: empty or headerless CSV")
-    return names, _rows(path, names, lines, casts)
+    return names, _rows(path, names, lines, casts, check)
 
 
-def _rows(path, names, lines, casts):
+def _rows(path, names, lines, casts, check):
     for row_no, line in enumerate(itertools.islice(lines, 1, None), start=2):
         cells = line.strip().split(",")
         if cells == [""]:
@@ -110,13 +112,18 @@ def _rows(path, names, lines, casts):
         if len(cells) != len(names):
             raise ConfigurationError(f"{path}: row {row_no} has {len(cells)} fields")
         row = []
-        for name, cast, cell in zip(names, casts, cells):
+        for cast, cell in zip(casts, cells):
             try:
                 row.append(cast(cell))
             except ValueError:
-                raise ConfigurationError(
-                    f"{path}: row {row_no}, column {len(row) + 1} ({name}): not a number: {cell!r}"
-                ) from None
+                fault = len(row), f"not a number: {cell!r}"
+                break
+        else:
+            fault = check(row)
+        if fault is not None:
+            column, reason = fault
+            raise ConfigurationError(
+                f"{path}: row {row_no}, column {column + 1} ({names[column]}): {reason}")
         yield row
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its two argument rules."""
+"""Exception types shared across the package, and its three argument rules."""
 
 import numpy as np
 
@@ -26,6 +26,15 @@ def positive(name: str, value) -> np.ndarray:
             return arr
     got = f", got {value!r}" if arr.ndim == 0 else ""
     raise ConfigurationError(f"{name} must be positive and finite{got}")
+
+
+def real(name: str, value, low, high) -> float:
+    """value as a float: a Python or numpy real number, never a bool, in
+    [low, high] (so never NaN); otherwise ConfigurationError naming name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not low <= value <= high:
+        raise ConfigurationError(f"{name} must be a real number in [{low}, {high}], got {value!r}")
+    return float(value)
 
 
 class DuplicatePointError(ConfigurationError):

@@ -4,13 +4,13 @@ FAMILIES is the one place where a synthetic family is defined: the config,
 the sweep and `knnmi gen` read every family decision from it and build data
 through `Family.dataset`.
 
-A sweep iterates cells (dimension x grid point), repeats each cell with
-derived seeds, and estimates every repetition with each configured
-backend. The SAME dataset, k-NN radii and digamma statistics are shared by
-all backends within a repetition (the dataset checksum column verifies the
-pairing downstream), so backend comparisons are paired and each backend
-adds only its ln V and entropy arithmetic. Baseline overflow is recorded
-as a status, never aborting the sweep.
+A sweep iterates ExperimentConfig.cells (dimension x grid point), repeats
+each cell with derived seeds, and estimates every repetition with each
+configured backend. The SAME dataset, k-NN radii and digamma statistics are
+shared by all backends within a repetition (the dataset checksum column
+verifies the pairing downstream), so backend comparisons are paired and
+each backend adds only its ln V and entropy arithmetic. Baseline overflow
+is recorded as a status, never aborting the sweep.
 
 Cell seeds are derived by hashing the cell coordinates (sha256), making
 every cell independently reproducible regardless of sweep order or subset.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .datagen import GaussianSpec, StudentTSpec, check_sample_size, generate_gaussian, generate_student_t
 from .dataset import Dataset, dataset_checksum, read_csv, write_csv
-from .errors import ConfigurationError, DuplicatePointError, integer, positive
+from .errors import ConfigurationError, DuplicatePointError, integer, positive, real
 from .estimators import estimate_backends
 from .neighbors import compute_knn_radii
 from .scaling import Backend, NormalizationResult, normalize
@@ -67,28 +67,33 @@ class Status(str, Enum):
         return cls.OK if result.nmi is not None else cls.UNDEFINED_NMI
 
 
-_REALS = (int, float, np.integer, np.floating)
 _DIMS_RULE = "dims must be a non-empty list of positive integers"
 
 
-def _dims(values) -> list:
-    """values as a non-empty list of ints >= 1; ConfigurationError(_DIMS_RULE) otherwise."""
-    dims = [integer("dims entry", d, 1, _DIMS_RULE) for d in values]
-    if not dims:
-        raise ConfigurationError(_DIMS_RULE)
-    return dims
+def _dim(d) -> int:
+    """One dims entry: an int >= 1; ConfigurationError(_DIMS_RULE) otherwise."""
+    return integer("dims entry", d, 1, _DIMS_RULE)
 
 
-def _unit_interval(name: str, values) -> None:
-    if not all(0.0 <= v <= 1.0 for v in values):
-        raise ConfigurationError(f"{name} must lie in [0, 1]")
+def _entries(name: str, values, parse, kind: str) -> list:
+    """[parse(v) for v in values] for a non-empty list with no entry repeated
+    after parsing: a repeated cell would rerun on the same seeds, and summarize
+    would count the copies as more repetitions."""
+    if not isinstance(values, list) or not values:
+        raise ConfigurationError(f"{name} must be a non-empty list of {kind}, got {values!r}")
+    parsed, seen = [parse(v) for v in values], set()
+    for raw, v in zip(values, parsed):
+        if v in seen:
+            raise ConfigurationError(f"{name} lists {raw!r} more than once")
+        seen.add(v)
+    return parsed
 
 
 class Family(namedtuple("Family", "param default_grid check default_dims "
                                   "spec generate truth substitutes")):
     """One family: its parameter (the spec field, the gen flag and f"{param}_grid"),
-    default grid, the check(name, values) its grid values pass, default dims,
-    spec, generator, truth, and the grid points drawn at a substitute."""
+    default grid, the check(name, value) that returns one grid value as a float,
+    default dims, spec, generator, truth, and the grid points drawn at a substitute."""
 
     def dataset(self, d: int, param: float, n: int, seed: int) -> Dataset:
         """n samples at dimension d drawn at `param`: gen's and the sweep's one path to data."""
@@ -96,12 +101,14 @@ class Family(namedtuple("Family", "param default_grid check default_dims "
 
 
 # generate and truth look their function up at call time, so a rebound module
-# attribute (a tracer's wrapper, a test's stub) still reaches them
+# attribute (a tracer's wrapper, a test's stub) still reaches them; real admits
+# one number only, so a nu grid value reaches positive as a scalar
 FAMILIES = {
-    GAUSSIAN: Family("rho", DEFAULT_RHO_GRID, _unit_interval, DEFAULT_GAUSSIAN_DIMS, GaussianSpec,
-                     lambda spec: generate_gaussian(spec), lambda d, rho: gaussian_truth(d, rho),
+    GAUSSIAN: Family("rho", DEFAULT_RHO_GRID, lambda name, v: real(name, v, 0, 1), DEFAULT_GAUSSIAN_DIMS,
+                     GaussianSpec, lambda spec: generate_gaussian(spec), lambda d, rho: gaussian_truth(d, rho),
                      {1.0: RHO_GENERATION_SUBSTITUTE}),
-    STUDENT_T: Family("nu", DEFAULT_NU_GRID, positive, DEFAULT_STUDENT_T_DIMS, StudentTSpec,
+    STUDENT_T: Family("nu", DEFAULT_NU_GRID, lambda name, v: float(positive(name, real(name, v, 0, np.inf))),
+                      DEFAULT_STUDENT_T_DIMS, StudentTSpec,
                       lambda spec: generate_student_t(spec), lambda d, nu: student_t_truth(d, nu), {}),
 }
 
@@ -123,24 +130,15 @@ class ExperimentConfig:
         if family is None:
             choices = " or ".join(map(repr, FAMILIES))
             raise ConfigurationError(f"family must be {choices}, got {self.family!r}")
-        if self.dims is None:
-            self.dims = list(family.default_dims)
-        if not isinstance(self.dims, list):
-            raise ConfigurationError(_DIMS_RULE)
-        self.dims = _dims(self.dims)
+        self.dims = _entries("dims", family.default_dims if self.dims is None else self.dims, _dim,
+                             "positive integers")
         for other in FAMILIES.values():
             if other is not family and getattr(self, f"{other.param}_grid") is not None:
                 raise ConfigurationError(f"{other.param}_grid does not apply to the {self.family} family")
         name = f"{family.param}_grid"
         grid = getattr(self, name)
-        grid = family.default_grid if grid is None else grid
-        # bool is never a number here
-        if not isinstance(grid, list) or any(isinstance(v, bool) or not isinstance(v, _REALS)
-                                             for v in grid):
-            raise ConfigurationError(f"{name} must be a list of numbers, got {grid!r}")
-        grid = [float(v) for v in grid]
-        family.check(f"{name} values", grid)
-        setattr(self, name, grid)
+        setattr(self, name, _entries(name, family.default_grid if grid is None else grid,
+                                     lambda v: family.check(f"{name} values", v), "numbers"))
         for name, low in (("n", 2), ("k", 1), ("repetitions", 1)):
             setattr(self, name, integer(name, getattr(self, name), low))
         for d in self.dims:
@@ -148,12 +146,7 @@ class ExperimentConfig:
         if self.k >= self.n:
             raise ConfigurationError(f"k = {self.k} must be smaller than n = {self.n}")
         self.base_seed = integer("base_seed", self.base_seed)
-        if not isinstance(self.backends, list):
-            raise ConfigurationError(f"backends must be a list of names, got {self.backends!r}")
-        backends = [Backend(b) for b in self.backends]
-        if not backends:
-            raise ConfigurationError("backends must not be empty")
-        self.backends = backends
+        self.backends = _entries("backends", self.backends, Backend, "names")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -176,14 +169,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
 
-    @property
-    def param_name(self) -> str:
-        return FAMILIES[self.family].param
-
-    def grid(self) -> list:
-        """(nominal parameter, generation parameter) pairs."""
+    def cells(self) -> list:
+        """(d, param, param_gen, nmi_true) for every cell in record order (dims outer):
+        data are drawn at param_gen, and nmi_true is the truth at the grid value param."""
         family = FAMILIES[self.family]
-        return [(v, family.substitutes.get(v, v)) for v in getattr(self, f"{family.param}_grid")]
+        return [(d, param, family.substitutes.get(param, param), family.truth(d, param).nmi_true)
+                for d in self.dims for param in getattr(self, f"{family.param}_grid")]
 
 
 @dataclass(frozen=True)
@@ -226,45 +217,43 @@ _ESTIMATE_FIELDS = ("mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies", "nmi")
 
 
 def run_sweep(config: ExperimentConfig) -> list:
-    """Run every (dim, grid point, repetition, backend) cell of the sweep."""
-    truth = FAMILIES[config.family].truth
+    """Run every repetition of every cell in config.cells() with each backend."""
+    param_name = FAMILIES[config.family].param
     records = []
-    for d in config.dims:
-        for param, param_gen in config.grid():
-            nmi_true = truth(d, param).nmi_true
-            for rep in range(config.repetitions):
-                seed = derive_seed(config.base_seed, config.family, d, param, rep)
-                start = time.perf_counter()
-                data = _generate(config, d, param_gen, seed)
-                checksum = dataset_checksum(data)
-                try:
-                    radii = compute_knn_radii(data, config.k)
-                except DuplicatePointError:
-                    results = [None] * len(config.backends)
-                else:
-                    results = estimate_backends(radii, d, d, config.backends)
-                wall_time_ms = (time.perf_counter() - start) * 1000.0
+    for d, param, param_gen, nmi_true in config.cells():
+        for rep in range(config.repetitions):
+            seed = derive_seed(config.base_seed, config.family, d, param, rep)
+            start = time.perf_counter()
+            data = _generate(config, d, param_gen, seed)
+            checksum = dataset_checksum(data)
+            try:
+                radii = compute_knn_radii(data, config.k)
+            except DuplicatePointError:
+                results = [None] * len(config.backends)
+            else:
+                results = estimate_backends(radii, d, d, config.backends)
+            wall_time_ms = (time.perf_counter() - start) * 1000.0
 
-                for backend, result in zip(config.backends, results):
-                    status = Status.DUPLICATE_POINTS if result is None else Status.of(result)
-                    # None and a NormalizationResult have none of these fields
-                    values = {name: getattr(result, name, None) for name in _ESTIMATE_FIELDS}
-                    records.append(
-                        RunRecord(
-                            family=config.family,
-                            d=d,
-                            param_name=config.param_name,
-                            param=param,
-                            param_gen=param_gen,
-                            repetition=rep,
-                            backend=backend.value,
-                            status=status.value,
-                            nmi_true=nmi_true,
-                            dataset_checksum=checksum,
-                            wall_time_ms=wall_time_ms,
-                            **values,
-                        )
+            for backend, result in zip(config.backends, results):
+                status = Status.DUPLICATE_POINTS if result is None else Status.of(result)
+                # None and a NormalizationResult have none of these fields
+                values = {name: getattr(result, name, None) for name in _ESTIMATE_FIELDS}
+                records.append(
+                    RunRecord(
+                        family=config.family,
+                        d=d,
+                        param_name=param_name,
+                        param=param,
+                        param_gen=param_gen,
+                        repetition=rep,
+                        backend=backend.value,
+                        status=status.value,
+                        nmi_true=nmi_true,
+                        dataset_checksum=checksum,
+                        wall_time_ms=wall_time_ms,
+                        **values,
                     )
+                )
     return records
 
 
@@ -320,8 +309,11 @@ STABILITY_COLUMNS = [f.name for f in fields(StabilityRow)]
 
 def stability_profile(epsilon, dims) -> list:
     """Evaluate all three ln V backends over a dimension sweep of fixed radii."""
+    dims = [_dim(d) for d in dims]
+    if not dims:
+        raise ConfigurationError(_DIMS_RULE)
     rows = []
-    for d in _dims(dims):
+    for d in dims:
         for backend in Backend:
             result = normalize(epsilon, d, backend)
             rows.append(
@@ -363,11 +355,34 @@ def _or_none(cast):
 _RECORD_CASTS = [
     _or_none(f.type if f.type in (str, int) else float) for f in fields(RunRecord)
 ]
+_REQUIRED = [i for i, f in enumerate(fields(RunRecord)) if f.type != Optional[float]]
+_ESTIMATES = [RECORD_COLUMNS.index(name) for name in _ESTIMATE_FIELDS]
+# the estimate fields a row of each status holds, as run_sweep writes them
+_HELD = {Status.OK.value: _ESTIMATES, Status.UNDEFINED_NMI.value: _ESTIMATES[:-1],
+         Status.OVERFLOW.value: [], Status.DUPLICATE_POINTS.value: []}
+_STATUS = RECORD_COLUMNS.index("status")
+
+
+def _record_fault(row):
+    """(column index, reason) for the first field of a parsed records row that
+    run_sweep never writes so: empty outside the Optional columns, an unknown
+    status, or estimate fields that do not match the status; else None."""
+    for i in _REQUIRED:
+        if row[i] is None:
+            return i, "empty"
+    held = _HELD.get(row[_STATUS])
+    if held is None:
+        return _STATUS, f"not a status: {row[_STATUS]!r}"
+    for i in _ESTIMATES:
+        if (row[i] is None) == (i in held):
+            return i, f"{'empty' if i in held else 'not empty'}, but status is {row[_STATUS]}"
+    return None
 
 
 def read_records_csv(path) -> list:
-    """Parse a records CSV back into RunRecord objects ('' becomes None)."""
-    names, rows = read_csv(path, _RECORD_CASTS)
+    """Parse a records CSV back into RunRecord objects ('' becomes None); a row
+    that run_sweep never writes (see _record_fault) raises ConfigurationError."""
+    names, rows = read_csv(path, _RECORD_CASTS, _record_fault)
     if names != RECORD_COLUMNS:
         raise ConfigurationError(f"{path}: unexpected record columns {names}")
     return [RunRecord(*row) for row in rows]

@@ -17,8 +17,8 @@ f decreases monotonically to -infinity (roughly -x/2 for large x), but the
 combination c(nu, d) stays positive and vanishes as nu grows, recovering
 the Gaussian limit. A non-positive Student-t marginal entropy yields an
 undefined NMI (None), mirroring the estimator-side convention. Arguments
-out of range (d an integer >= 1, rho in [0, 1], nu positive and finite) raise
-ConfigurationError.
+out of range raise ConfigurationError: d must be an integer >= 1, rho a real
+number in [0, 1] (never a bool), and nu positive and finite.
 """
 
 import math
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, integer, positive
+from .errors import integer, positive, real
 from .special import digamma, ln_gamma
 
 LN_2_PI_E = 2.8378770664093453  # ln(2 pi e)
@@ -44,10 +44,9 @@ class TruthRecord:
 
 
 def gaussian_truth(d: int, rho: float) -> TruthRecord:
-    """Reference values for the correlated-Gaussian family; 0 <= rho <= 1."""
+    """Reference values for the correlated-Gaussian family; rho a real number in [0, 1]."""
     d = integer("d", d, 1)
-    if not 0.0 <= rho <= 1.0:
-        raise ConfigurationError(f"rho must lie in [0, 1], got {rho}")
+    rho = real("rho", rho, 0, 1)
     h = 0.5 * d * LN_2_PI_E
     if rho == 1.0:
         return TruthRecord(mi_true=math.inf, h_marginal_true=h, nmi_true=1.0)

@@ -292,6 +292,66 @@ def test_summarize_bad_cell_is_named(tmp_path, capsys):
     assert f"{path}: row 3, column {column + 1} (nmi): not a number: 'abc'" in err
 
 
+@pytest.mark.parametrize("column, value, reason", [
+    ("nmi", "", "empty, but status is ok"),
+    ("status", "okay", "not a status: 'okay'"),
+    ("d", "", "empty"),
+    ("dataset_checksum", "", "empty"),
+    ("h_x", "", "empty, but status is ok"),
+])
+def test_summarize_refuses_rows_the_sweep_never_writes(tmp_path, capsys, column, value, reason):
+    path = _records_csv(tmp_path)
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[RECORD_COLUMNS.index(column)] = value
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    capsys.readouterr()
+    assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: row 2, column {RECORD_COLUMNS.index(column) + 1} ({column}): {reason}\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("status, held", [
+    ("ok", ["mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies", "nmi"]),
+    ("undefined_nmi", ["mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies"]),
+    ("overflow", []),
+    ("duplicate_points", []),
+])
+def test_summarize_estimate_fields_must_match_the_status(tmp_path, capsys, status, held):
+    # each status holds the estimate fields run_sweep writes for it, and no other
+    estimates = ["mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies", "nmi"]
+    path = _records_csv(tmp_path)
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[RECORD_COLUMNS.index("status")] = status
+    for name in estimates:
+        cells[RECORD_COLUMNS.index(name)] = "0.5" if name in held else ""
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 0
+    for name in estimates:
+        flipped = list(cells)
+        flipped[RECORD_COLUMNS.index(name)] = "" if name in held else "0.5"
+        path.write_text(f"{header}\n{','.join(flipped)}\n")
+        capsys.readouterr()
+        assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
+        reason = "empty" if name in held else "not empty"
+        assert f"column {RECORD_COLUMNS.index(name) + 1} ({name}): {reason}, but status is {status}" in (
+            capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("repeat", [
+    {"dims": [1, 1]}, {"rho_grid": [0.5, 0.5]}, {"backends": ["proposed", " PROPOSED"]},
+])
+def test_sweep_refuses_a_repeated_entry(tmp_path, capsys, repeat):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "gaussian", "base_seed": 1, "dims": [1], "rho_grid": [0.5],
+                               "n": 30, "k": 3, "repetitions": 2, **repeat}))
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")) == 1
+    assert "more than once" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_non_ascii_csv_and_non_utf8_config_are_config_errors(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("x_1,y_1\n0.5,1.0\n2.0,\u00e9\n", encoding="utf-8")
@@ -326,7 +386,7 @@ def test_internal_error_exit_code(monkeypatch, tmp_path):
 
 def test_internal_value_error_exit_code(monkeypatch, tmp_path, capsys):
     # only ConfigurationError is bad input; a plain ValueError is an internal fault
-    import knnmi.estimators as estimators
+    import knnmi.cli as cli
 
     path = tmp_path / "d.csv"
     run_cli("gen", "--family", "gaussian", "--d", "1", "--rho", "0.5",
@@ -335,7 +395,7 @@ def test_internal_value_error_exit_code(monkeypatch, tmp_path, capsys):
     def broken(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(estimators, "estimate_backends", broken)
+    monkeypatch.setattr(cli, "estimate_backends", broken)
     capsys.readouterr()
     assert run_cli("estimate", "--data", str(path), "--k", "2") == 3
     assert capsys.readouterr().err == "internal error: ValueError: boom\n"

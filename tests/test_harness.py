@@ -62,8 +62,9 @@ class TestConfig:
         assert cfg.nu_grid == DEFAULT_NU_GRID
 
     def test_rho_one_generates_at_substitute(self):
-        cfg = ExperimentConfig(family="gaussian", base_seed=1, rho_grid=[0.5, 1.0])
-        assert cfg.grid() == [(0.5, 0.5), (1.0, RHO_GENERATION_SUBSTITUTE)]
+        cfg = ExperimentConfig(family="gaussian", base_seed=1, dims=[2], rho_grid=[0.5, 1.0])
+        assert cfg.cells() == [(2, 0.5, 0.5, gaussian_truth(2, 0.5).nmi_true),
+                               (2, 1.0, RHO_GENERATION_SUBSTITUTE, 1.0)]
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -110,6 +111,10 @@ class TestConfig:
         dict(rho_grid=[float("nan")]),
         dict(family=["gaussian"]),
         dict(dims=[1, 100_000_000], n=3, k=1),  # refused before any cell allocates it
+        dict(rho_grid=[[0.5]]),
+        dict(family="student_t", nu_grid=[[1.0]]),
+        dict(rho_grid=[]),  # a sweep of no cells
+        dict(family="student_t", nu_grid=[]),
     ])
     def test_validation(self, bad):
         kwargs = dict(family="gaussian", base_seed=1)
@@ -132,6 +137,21 @@ class TestConfig:
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert {f"{family.param}_grid" for family in FAMILIES.values()} <= names
         assert list(FAMILIES) == [GAUSSIAN, STUDENT_T]
+
+    @pytest.mark.parametrize("repeat, named", [
+        (dict(dims=[1, 2, 1]), "dims lists 1 more than once"),
+        (dict(dims=[np.int64(4), 4]), "dims lists 4 more than once"),
+        (dict(rho_grid=[0.5, 0.2, 0.5]), "rho_grid lists 0.5 more than once"),
+        (dict(rho_grid=[0, 0.0]), "rho_grid lists 0.0 more than once"),
+        (dict(rho_grid=[0.0, -0.0]), "rho_grid lists -0.0 more than once"),
+        (dict(family="student_t", nu_grid=[1, 1.0]), "nu_grid lists 1.0 more than once"),
+        (dict(backends=["proposed", " PROPOSED"]), "backends lists ' PROPOSED' more than once"),
+        (dict(backends=["dominant", "baseline", "Dominant"]), "backends lists 'Dominant' more than once"),
+    ])
+    def test_repeated_entries_refused(self, repeat, named):
+        # a repeated cell reruns the same seeds, and summarize would count the copies
+        with pytest.raises(ConfigurationError, match=f"^{named}$"):
+            ExperimentConfig(**{"family": "gaussian", "base_seed": 1, **repeat})
 
     def test_numpy_scalars_accepted(self):
         cfg = ExperimentConfig(
@@ -238,6 +258,18 @@ class TestRunSweep:
         run_sweep(small_config(n=20, repetitions=1, rho_grid=[0.5]))
         run_sweep(small_config(family="student_t", n=20, repetitions=1, rho_grid=None, nu_grid=[1.0]))
         assert seen == {"generate_gaussian", "generate_student_t", "gaussian_truth", "student_t_truth"}
+
+    def test_records_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # d = 1 takes the sorted window and d = 3 brute force; at N = 3000 both
+        # scans split into chunks, which one CPU runs alone and three share
+        import knnmi.neighbors as neighbors
+
+        cfg = small_config(dims=[1, 3], rho_grid=[0.0, 0.9], n=3000, repetitions=2)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(neighbors, "_cpu_count", lambda: workers)
+            runs.append([dataclasses.replace(r, wall_time_ms=0.0) for r in run_sweep(cfg)])
+        assert runs[0] == runs[1]
 
     def test_duplicate_points_recorded(self, monkeypatch):
         import knnmi.harness as harness

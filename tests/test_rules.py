@@ -2,7 +2,8 @@
 
 errors.integer: a Python or numpy integer, never a bool, >= a lower bound
 where one applies. errors.positive: real numbers, never bools, every entry
-positive and finite. Every call site refuses a bad value with a
+positive and finite. errors.real: one Python or numpy real number, never a
+bool, in a closed interval. Every call site refuses a bad value with a
 ConfigurationError whose message starts with the argument's name.
 """
 
@@ -31,7 +32,7 @@ from knnmi import (
     normalize,
     student_t_truth,
 )
-from knnmi.errors import integer, positive
+from knnmi.errors import integer, positive, real
 
 DATA = Dataset(x=np.arange(10.0)[:, None], y=np.arange(10.0)[::-1, None] ** 2)
 
@@ -75,6 +76,28 @@ POSITIVE_SITES = {
     "digamma": (digamma, "digamma arguments"),
     "ln_gamma": (ln_gamma, "ln_gamma arguments"),
 }
+
+
+# site: (call with the value under test, the argument's name the message starts with)
+REAL_SITES = {
+    "config.rho_grid": (lambda v: _config(rho_grid=[0.5, v]), "rho_grid values"),
+    "GaussianSpec.rho": (lambda v: GaussianSpec(d=1, rho=v, n=10, seed=1), "rho"),
+    "gaussian_truth.rho": (lambda v: gaussian_truth(1, v), "rho"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, math.nan, -0.1, 1.5])
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_real_sites_refuse_and_name_the_argument(site, bad):
+    call, name = REAL_SITES[site]
+    with pytest.raises(ConfigurationError, match=f"^{name} must be a real number in \\[0, 1\\], got "):
+        call(bad)
+
+
+def test_generation_refuses_rho_one():
+    for rho in (1, 1.0, np.float64(1.0)):
+        with pytest.raises(ConfigurationError, match=r"^rho must lie in \[0, 1\) for generation"):
+            GaussianSpec(d=1, rho=rho, n=10, seed=1)
 
 
 @pytest.mark.parametrize("site, bad", [
@@ -132,6 +155,18 @@ def test_positive_refuses_bool_and_text_arrays():
     for value in (np.array([True, True]), ["1.0", "2.0"], np.array([1 + 1j]), 10**400):
         with pytest.raises(ConfigurationError, match="^v must be positive and finite"):
             positive("v", value)
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.5, np.float32(0.25), np.int64(1), np.float64(0.0)])
+def test_real_accepts_python_and_numpy_reals(value):
+    got = real("v", value, 0, 1)
+    assert type(got) is float and got == value
+
+
+def test_real_refuses_numpy_bools_complex_and_sequences():
+    for value in (np.True_, 1 + 0j, [0.5], np.array(0.5)):
+        with pytest.raises(ConfigurationError, match=r"^v must be a real number in \[0, inf\], got "):
+            real("v", value, 0, math.inf)
 
 
 def _report(nmi):
