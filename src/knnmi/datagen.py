@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigurationError, integer, positive, real
+from .errors import ConfigurationError, integer, positive_real, real
 
 GENERATOR_ID = "numpy-philox-4x64"
 
@@ -82,7 +82,7 @@ class StudentTSpec:
 
     def __post_init__(self):
         _check_sample(self)
-        positive("nu", self.nu)
+        positive_real("nu", self.nu)
 
 
 def _generator(seed: int) -> np.random.Generator:

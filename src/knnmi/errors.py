@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and its three argument rules."""
+"""Exception types shared across the package, and its argument rules."""
+
+import math
 
 import numpy as np
 
@@ -29,12 +31,23 @@ def positive(name: str, value) -> np.ndarray:
 
 
 def real(name: str, value, low, high) -> float:
-    """value as a float: a Python or numpy real number, never a bool, in
-    [low, high] (so never NaN); otherwise ConfigurationError naming name."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not low <= value <= high:
+    """value as a float: a Python or numpy real number, never a bool, that
+    float() converts and that lies in [low, high] (so never NaN); otherwise
+    ConfigurationError naming name."""
+    number = math.nan
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float64's range
+            pass
+    if not low <= number <= high:
         raise ConfigurationError(f"{name} must be a real number in [{low}, {high}], got {value!r}")
-    return float(value)
+    return number
+
+
+def positive_real(name: str, value) -> float:
+    """value as a float: one real number (real), positive and finite (positive)."""
+    return float(positive(name, real(name, value, 0, math.inf)))
 
 
 class DuplicatePointError(ConfigurationError):

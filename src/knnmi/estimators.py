@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import NonFiniteNormalizationError
+from .errors import NonFiniteNormalizationError, integer
 from .neighbors import RadiusSet, compute_knn_radii
 from .scaling import Backend, NormalizationResult, _sum_left_to_right, normalize
 from .special import digamma
@@ -73,6 +73,7 @@ def estimate_backends(radii: RadiusSet, d_x: int, d_y: int, backends) -> list:
     """One entry per backend, in order: its EstimateReport, or its
     NormalizationResult when ln V is not finite (the baseline's overflow mode).
     """
+    d_x, d_y = integer("d_x", d_x, 0), integer("d_y", d_y, 0)
     results = [normalize(radii.epsilon, d_x + d_y, backend) for backend in backends]
     # one digamma call: each element depends on its own argument alone
     psi = digamma(np.concatenate(([float(radii.n), float(radii.k)], radii.n_x + 1.0, radii.n_y + 1.0)))

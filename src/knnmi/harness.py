@@ -33,7 +33,7 @@ import numpy as np
 
 from .datagen import GaussianSpec, StudentTSpec, check_sample_size, generate_gaussian, generate_student_t
 from .dataset import Dataset, dataset_checksum, read_csv, write_csv
-from .errors import ConfigurationError, DuplicatePointError, integer, positive, real
+from .errors import ConfigurationError, DuplicatePointError, integer, positive_real, real
 from .estimators import estimate_backends
 from .neighbors import compute_knn_radii
 from .scaling import Backend, NormalizationResult, normalize
@@ -101,14 +101,12 @@ class Family(namedtuple("Family", "param default_grid check default_dims "
 
 
 # generate and truth look their function up at call time, so a rebound module
-# attribute (a tracer's wrapper, a test's stub) still reaches them; real admits
-# one number only, so a nu grid value reaches positive as a scalar
+# attribute (a tracer's wrapper, a test's stub) still reaches them
 FAMILIES = {
     GAUSSIAN: Family("rho", DEFAULT_RHO_GRID, lambda name, v: real(name, v, 0, 1), DEFAULT_GAUSSIAN_DIMS,
                      GaussianSpec, lambda spec: generate_gaussian(spec), lambda d, rho: gaussian_truth(d, rho),
                      {1.0: RHO_GENERATION_SUBSTITUTE}),
-    STUDENT_T: Family("nu", DEFAULT_NU_GRID, lambda name, v: float(positive(name, real(name, v, 0, np.inf))),
-                      DEFAULT_STUDENT_T_DIMS, StudentTSpec,
+    STUDENT_T: Family("nu", DEFAULT_NU_GRID, positive_real, DEFAULT_STUDENT_T_DIMS, StudentTSpec,
                       lambda spec: generate_student_t(spec), lambda d, nu: student_t_truth(d, nu), {}),
 }
 
@@ -203,7 +201,8 @@ RECORD_COLUMNS = [f.name for f in fields(RunRecord)]
 
 def derive_seed(base_seed: int, family: str, d: int, param: float, repetition: int) -> int:
     """Stable 64-bit cell seed from the sweep coordinates."""
-    text = (f"{integer('base_seed', base_seed)}|{family}|{integer('d', d, 1)}|{float(param)!r}|"
+    text = (f"{integer('base_seed', base_seed)}|{family}|{integer('d', d, 1)}|"
+            f"{real('param', param, 0, np.inf)!r}|"
             f"{integer('repetition', repetition, 0)}")
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")

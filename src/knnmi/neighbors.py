@@ -20,8 +20,10 @@ the sorted window at d_x = d_y = 1 (D = 2) above that, and brute force
 elsewhere. The sorted window and brute force share their work out in
 chunks to one thread per CPU in the process's affinity mask (numpy releases
 the GIL inside each array operation); the calling thread is one of them, so
-a single chunk starts no thread. Threads pop chunks in order from one queue,
-own their scratch and write disjoint rows of the result. Every reduction
+a single chunk starts no thread. Threads take chunks in order from one
+hand-out (`_share_out`), each with its own scratch, and write disjoint rows
+of the result; brute force ends the hand-out after a block with a zero or
+infinite radius, since the scan then fails anyway. Every reduction
 (max, partition, integer count) is order-independent, so results are
 bit-identical for any chunk size and thread count.
 
@@ -45,11 +47,12 @@ k-th neighbour lies among a few hundred x-sorted rows, not N.
 
 Brute force scans all ordered pairs: samples are transposed to
 feature-major layout once, then each feature's |a_i - a_j| plane is folded
-into a running max, blocked over query rows (reducing over a short last
-axis would hit numpy's slow strided path). A block's four float planes and
-one bool plane are sized to stay in a core's L2 cache: every ufunc pass
-re-reads them, and planes that spill to memory made the scan two to three
-times slower on a 2-vCPU Xeon with 4 MiB of L2 per core.
+into a running max (`_fold_max`, the pair-once scan's fold too), blocked
+over query rows (reducing over a short last axis would hit numpy's slow
+strided path). A block's four float planes and one bool plane are sized to
+stay in a core's L2 cache: every ufunc pass re-reads them, and planes that
+spill to memory made the scan two to three times slower on a 2-vCPU Xeon
+with 4 MiB of L2 per core.
 
 The pair-once scan computes each unordered pair once, in circular order:
 for offsets t = 1..n // 2, row t - 1 of a marginal's plane holds
@@ -71,8 +74,8 @@ the sorted window too: 0.30 ms against 0.52 ms per N = 200, k = 5 scan on
 
 The pair-once scan carves its planes from one byte buffer per thread, kept
 between calls (`_carve`): each plane starts on a 64-byte boundary, and the
-marginal loop's planes share space with the partition's, which are never
-live at the same time. The buffer is bounded by the largest small-sample
+partition's planes are carved in a second call over the marginal loop's,
+which are dead by then. The buffer is bounded by the largest small-sample
 scan its thread has run: about 1.6 MiB at n = 256, plus the D x 1.5n
 feature array. It is scratch, not a cache: no value passes from one call to
 the next, and the arrays returned are fresh. Brute force and the sorted
@@ -96,9 +99,10 @@ from .errors import ConfigurationError, DuplicatePointError, RadiusOverflowError
 # thread's four float planes and one bool plane fit in 4 MiB of L2; fastest
 # of 2**15..2**18 measured at (N, d) = (10000, 1), (10000, 8), (1000, 512).
 # Sorted window: per scan, split evenly over the threads, so that threading
-# holds no more memory than one thread did. Pair once: taken at D != 2 when
-# a whole (n, n) plane fits (n <= 256), so that its (n - 1, n) planes are no
-# larger than brute force's one block. Output is the same for any value
+# holds no more memory than one thread did. Pair once: taken at any D when a
+# whole (n, n) plane fits (n * n <= _SCRATCH_ELEMS, so n <= 256), so that its
+# (n - 1, n) planes are no larger than brute force's one block. Output is the
+# same for any value
 _SCRATCH_ELEMS = 2**16
 
 # sorted-window scan: the first window spans _FIRST_WINDOW * sqrt(k N) rows
@@ -169,9 +173,7 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
     n = data.n
     k = integer("k", k, 1)
     if k >= n:
-        raise ConfigurationError(
-            f"k = {k} requires at least k + 1 = {k + 1} samples, got {n}"
-        )
+        raise ConfigurationError(f"k = {k} requires at least k + 1 = {k + 1} samples, got {n}")
 
     if n * n <= _SCRATCH_ELEMS:
         scan = _pair_once_scan
@@ -179,7 +181,9 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
         scan = _sorted_window_scan
     else:
         scan = _brute_force_scan
-    epsilon, n_x, n_y = scan(data.x, data.y, k)
+    # an overflowing difference is inf, not an error: the check below reports it
+    with np.errstate(over="ignore"):
+        epsilon, n_x, n_y = scan(data.x, data.y, k)
 
     bad = np.flatnonzero((epsilon == 0.0) | (epsilon == np.inf))
     if bad.size:
@@ -189,7 +193,6 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
     return RadiusSet(epsilon=epsilon, n_x=n_x, n_y=n_y, k=k)
 
 
-@np.errstate(over="ignore")
 def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
     """(epsilon, n_x, n_y) at d_x = d_y = 1 from windows of sorted neighbours."""
     n = x.shape[0]
@@ -221,33 +224,27 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
         # for any thread count
         unresolved = [None] * len(starts)
 
-        def scan_chunks(chunks: deque) -> None:
-            """Pop chunks of todo until none is left; scratch is per call."""
-            scratch = np.empty((2, min(rows, todo.size), width))
-            while True:
-                try:
-                    c = chunks.popleft()
-                except IndexError:
-                    return
-                s = slice(starts[c], starts[c] + rows)
-                p, first = todo[s], lo[s]
-                if first[-1] - first[0] == p[-1] - p[0] == p.size - 1:
-                    # consecutive rows (todo is ascending): their windows are
-                    # one strided view, read with no copy
-                    near, dist = windows[:, first[0] : first[-1] + 1], scratch[:, : p.size]
-                else:
-                    near = dist = windows[:, first]  # a copy, overwritten below
-                np.subtract(planes[:, p, None], near, out=dist)
-                np.abs(dist, out=dist)
-                joint = np.maximum(dist[0], dist[1], out=dist[0])
-                joint[np.arange(p.size), p - first] = np.inf  # exclude self
-                joint.partition(k - 1, axis=1)
-                e = joint[:, k - 1]
-                done = gap[s] >= e
-                eps[p[done]] = e[done]
-                unresolved[c] = p[~done]
+        def scan_chunk(c: int, scratch: np.ndarray) -> None:
+            """Resolve the rows of chunk c of todo that its windows settle."""
+            s = slice(starts[c], starts[c] + rows)
+            p, first = todo[s], lo[s]
+            if first[-1] - first[0] == p[-1] - p[0] == p.size - 1:
+                # consecutive rows (todo is ascending): their windows are
+                # one strided view, read with no copy
+                near, dist = windows[:, first[0] : first[-1] + 1], scratch[:, : p.size]
+            else:
+                near = dist = windows[:, first]  # a copy, overwritten below
+            np.subtract(planes[:, p, None], near, out=dist)
+            np.abs(dist, out=dist)
+            joint = np.maximum(dist[0], dist[1], out=dist[0])
+            joint[np.arange(p.size), p - first] = np.inf  # exclude self
+            joint.partition(k - 1, axis=1)
+            e = joint[:, k - 1]
+            done = gap[s] >= e
+            eps[p[done]] = e[done]
+            unresolved[c] = p[~done]
 
-        _share_out(scan_chunks, range(len(starts)))
+        _share_out(scan_chunk, range(len(starts)), lambda: np.empty((2, min(rows, todo.size), width)))
         todo = np.concatenate(unresolved)
         width = min(n, _WINDOW_GROWTH * width)
 
@@ -288,7 +285,6 @@ def _count_within(sorted_values: np.ndarray, values: np.ndarray, eps: np.ndarray
     return edges[1] - edges[0] - 1
 
 
-@np.errstate(over="ignore")
 def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     """(epsilon, n_x, n_y) from each unordered pair's distance, computed once."""
     n = x.shape[0]
@@ -296,12 +292,10 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     d_x, d_y = x.shape[1], y.shape[1]
     # dist[m, r, i] = marginal m's distance from sample i to sample (i + r + 1) % n
     # for r < half, and to sample (i - (r - half) - 1) % n after that: column i
-    # holds sample i's distance to every other sample once. The marginal loop's
-    # planes are dead once the partition starts, so the two share space
-    (dist, features, plane, wrapped), (_, dist_joint, inside) = _carve(
-        [((2, n - 1, n), float), ((d_x + d_y, n + half), float), ((half, n), float),
-         ((half, rest + n), float)],
-        [((2, n - 1, n), float), ((n - 1, n), float), ((n - 1, n), bool)],
+    # holds sample i's distance to every other sample once
+    dist, features, plane, wrapped = _carve(
+        ((2, n - 1, n), float), ((d_x + d_y, n + half), float), ((half, n), float),
+        ((half, rest + n), float),
     )
 
     # features[f, i] = a_f[i % n] for i < n + half, so that
@@ -326,21 +320,16 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     skew = skew.reshape(rest, rest + n - 1)[:, :n]
     for m, features_m in enumerate((range(d_x), range(d_x, d_x + d_y))):
         top = dist[m, :half]
-        if not features_m:
-            dist[m].fill(0.0)
-            continue
-        for f in features_m:
-            out = top if f == features_m[0] else plane
-            np.subtract(features[f, :n], windows[f], out=out)
-            np.abs(out, out=out)
-            if out is plane:
-                np.maximum(top, plane, out=top)
+        _fold_max(top, plane, ((features[f, :n], windows[f]) for f in features_m))
         # fl(a - b) = -fl(b - a), so the read-back distances are the ones that
         # brute force computes from the other end of each pair
         wrapped[:, rest:] = top
         wrapped[:, :rest] = top[:, n - rest :]
         dist[m, half:] = skew
 
+    # the partition's planes (9n^2 bytes past dist) lie over the dead loop planes
+    # (over 10n^2), so the buffer does not grow and dist keeps its place and values
+    _, dist_joint, inside = _carve(((2, n - 1, n), float), ((n - 1, n), float), ((n - 1, n), bool))
     np.maximum(dist[0], dist[1], out=dist_joint)
     dist_joint.partition(k - 1, axis=0)
     epsilon = dist_joint[k - 1].copy()
@@ -356,117 +345,92 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     return epsilon, *counts
 
 
-def _carve(*layouts):
-    """Scratch arrays for each layout, a list of (shape, dtype), from this thread's buffer.
+def _carve(*layout):
+    """Scratch arrays for layout, (shape, dtype) pairs, from this thread's buffer.
 
-    The arrays of one layout lie end to end, each from an _ALIGN-byte
-    boundary, so none overlaps another. Every layout starts at the start of
-    the buffer, so arrays of different layouts may overlap; a plane that a
-    caller keeps across layouts leads each of them, and so has the same place
-    in all. The buffer is kept between calls and grows to the largest layout
-    its thread has asked for, dropping the old buffer before it allocates the
+    The arrays lie end to end from the start of the buffer, each from an
+    _ALIGN-byte boundary, so none overlaps another; arrays of two calls
+    may overlap, and an array that leads both has the same place in each.
+    The buffer is kept between calls and grows to the largest layout its
+    thread has asked for, dropping the old buffer before it allocates the
     new one. The arrays hold whatever an earlier call left in them.
     """
-    placed, size = [], 0
-    for layout in layouts:
-        at, spans = 0, []
-        for shape, dtype in layout:
-            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-            spans.append((at, nbytes, shape, dtype))
-            at += -(-nbytes // _ALIGN) * _ALIGN
-        placed.append(spans)
-        size = max(size, at)
+    spans, size = [], 0
+    for shape, dtype in layout:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        spans.append((size, nbytes, shape, dtype))
+        size += -(-nbytes // _ALIGN) * _ALIGN
     buffer = getattr(_scratch, "buffer", None)
     if buffer is None or buffer.size < size:
         _scratch.buffer = buffer = None  # freed before the larger one is taken
         raw = np.empty(size + _ALIGN, dtype=np.uint8)
         skip = -raw.ctypes.data % _ALIGN
         buffer = _scratch.buffer = raw[skip : skip + size]
-    return [
-        [buffer[at : at + nbytes].view(dtype).reshape(shape) for at, nbytes, shape, dtype in spans]
-        for spans in placed
-    ]
+    return [buffer[at : at + nbytes].view(dtype).reshape(shape) for at, nbytes, shape, dtype in spans]
+
+
+def _fold_max(out: np.ndarray, plane: np.ndarray, pairs) -> None:
+    """out = max |a - b| over the (a, b) operand pairs, and 0 with none.
+
+    The first pair is written straight into out; each later one into plane,
+    scratch of out's shape, and folded in.
+    """
+    target = out
+    for a, b in pairs:
+        np.subtract(a, b, out=target)
+        np.abs(target, out=target)
+        if target is plane:
+            np.maximum(out, plane, out=out)
+        target = plane
+    if target is out:
+        out.fill(0.0)
 
 
 def _brute_force_scan(x: np.ndarray, y: np.ndarray, k: int):
     """(epsilon, n_x, n_y) over all pairs, blocked over query rows and threaded."""
     n = x.shape[0]
-    epsilon = np.empty(n, dtype=np.float64)
-    n_x = np.empty(n, dtype=np.int64)
-    n_y = np.empty(n, dtype=np.int64)
-
-    x_features = np.ascontiguousarray(x.T)
-    y_features = np.ascontiguousarray(y.T)
-
+    epsilon, n_x, n_y = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    x_features, y_features = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
     block = max(8, min(n, _SCRATCH_ELEMS // n))
 
-    def scan_blocks(starts: deque) -> None:
-        """Pop query blocks in row order until none is left; scratch is per call."""
-        dist_x = np.empty((block, n))
-        dist_y = np.empty((block, n))
-        dist_joint = np.empty((block, n))
-        plane = np.empty((block, n))
-        inside = np.empty((block, n), dtype=bool)
+    def scan_block(start: int, planes) -> bool:
+        """Rows start.. of one query block; True once a radius is zero or infinite."""
+        stop = min(start + block, n)
+        b = stop - start
+        dx, dy, dj, plane, inside = (p[:b] for p in planes)
+        for features, dist in ((x_features, dx), (y_features, dy)):
+            _fold_max(dist, plane, ((col[start:stop, None], col[None, :]) for col in features))
+        np.maximum(dx, dy, out=dj)
 
-        def marginal_distances(features: np.ndarray, dist: np.ndarray, start: int, stop: int):
-            """Fill dist[i - start, j] = ||a[i] - a[j]||_inf from feature-major rows."""
-            if not len(features):
-                dist.fill(0.0)
-                return
-            np.subtract(features[0, start:stop, None], features[0, None, :], out=dist)
-            np.abs(dist, out=dist)
-            p = plane[: stop - start]
-            for col in features[1:]:
-                np.subtract(col[start:stop, None], col[None, :], out=p)
-                np.abs(p, out=p)
-                np.maximum(dist, p, out=dist)
+        dj[np.arange(b), np.arange(start, stop)] = np.inf  # exclude self
+        dj.partition(k - 1, axis=1)
+        eps_block = dj[:, k - 1]
 
-        while True:
-            try:
-                start = starts.popleft()
-            except IndexError:
-                return
-            stop = min(start + block, n)
-            b = stop - start
-            dx = dist_x[:b]
-            dy = dist_y[:b]
-            dj = dist_joint[:b]
+        # self sits at marginal distance 0 < eps and must not be counted
+        np.less(dx, eps_block[:, None], out=inside)
+        n_x[start:stop] = np.count_nonzero(inside, axis=1) - 1
+        np.less(dy, eps_block[:, None], out=inside)
+        n_y[start:stop] = np.count_nonzero(inside, axis=1) - 1
+        epsilon[start:stop] = eps_block
+        return eps_block.min() == 0.0 or eps_block.max() == np.inf
 
-            marginal_distances(x_features, dx, start, stop)
-            marginal_distances(y_features, dy, start, stop)
-            np.maximum(dx, dy, out=dj)
-
-            dj[np.arange(b), np.arange(start, stop)] = np.inf  # exclude self
-            dj.partition(k - 1, axis=1)
-            eps_block = dj[:, k - 1]
-
-            # self sits at marginal distance 0 < eps and must not be counted
-            np.less(dx, eps_block[:, None], out=inside[:b])
-            n_x[start:stop] = np.count_nonzero(inside[:b], axis=1) - 1
-            np.less(dy, eps_block[:, None], out=inside[:b])
-            n_y[start:stop] = np.count_nonzero(inside[:b], axis=1) - 1
-            epsilon[start:stop] = eps_block
-
-            if eps_block.min() == 0.0 or eps_block.max() == np.inf:
-                # every earlier block is already taken and will finish, so the
-                # check below still sees the first failing row; skip the rest
-                starts.clear()
-
-    _share_out(scan_blocks, range(0, n, block))
+    # each thread's dist_x, dist_y, dist_joint, feature plane and bool plane
+    _share_out(scan_block, range(0, n, block),
+               lambda: [np.empty((block, n)) for _ in range(4)] + [np.empty((block, n), dtype=bool)])
     return epsilon, n_x, n_y
 
 
-def _share_out(worker, items) -> None:
-    """Call worker(pending) in one thread per CPU, and in no more threads than items.
+def _share_out(task, items, scratch) -> None:
+    """Run task(item, kept) for each item in order, on one thread per CPU and no more than items.
 
-    pending is a deque of `items` shared by every call; each call pops from
-    its left until it is empty, so items are taken in order. The calling
-    thread makes one of the calls, so a single call starts no thread; plain
-    threads rather than a ThreadPoolExecutor, whose import and extra thread
-    raised peak RSS by about 1 MiB at N = 10000. numpy's error state is per
-    thread, so each call ignores float overflow in its own thread: an inf
-    difference is not an error (see the check after the scan). The first
-    exception of any call stops the hand-out and is raised here.
+    Each thread calls scratch() once, keeps what it returns, and pops items
+    from one shared deque. A task that returns True ends the hand-out; items
+    already taken still finish, so every item before it runs. The calling
+    thread is one of the threads; plain threads rather than a
+    ThreadPoolExecutor, whose import and extra thread raised peak RSS by
+    about 1 MiB at N = 10000. numpy's error state is per thread, so each
+    ignores float overflow (see compute_knn_radii). The first exception of
+    any thread ends the hand-out and is raised here.
     """
     pending = deque(items)
     errors = []
@@ -474,7 +438,14 @@ def _share_out(worker, items) -> None:
     def run() -> None:
         try:
             with np.errstate(over="ignore"):
-                worker(pending)
+                kept = scratch()
+                while True:
+                    try:
+                        item = pending.popleft()
+                    except IndexError:
+                        return
+                    if task(item, kept):
+                        pending.clear()
         except BaseException as exc:  # re-raised in the calling thread below
             pending.clear()
             errors.append(exc)

@@ -18,7 +18,7 @@ combination c(nu, d) stays positive and vanishes as nu grows, recovering
 the Gaussian limit. A non-positive Student-t marginal entropy yields an
 undefined NMI (None), mirroring the estimator-side convention. Arguments
 out of range raise ConfigurationError: d must be an integer >= 1, rho a real
-number in [0, 1] (never a bool), and nu positive and finite.
+number in [0, 1] (never a bool), and nu one real number, positive and finite.
 """
 
 import math
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import integer, positive, real
+from .errors import integer, positive_real, real
 from .special import digamma, ln_gamma
 
 LN_2_PI_E = 2.8378770664093453  # ln(2 pi e)
@@ -76,7 +76,7 @@ def student_t_truth(d: int, nu: float, latent_mi: float = 0.0) -> TruthRecord:
     0 for the identity dispersion used throughout the benchmarks, but a
     correlated latent value from gaussian_truth may be composed in.
     """
-    positive("nu", nu)
+    positive_real("nu", nu)
     d = integer("d", d, 1)
     # f at nu, nu + 2d and nu + d in one array pass: the float operations of
     # c_term and f_aux, so the values are bit-identical to theirs

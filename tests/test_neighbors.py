@@ -179,18 +179,28 @@ def test_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(neighbors, "_cpu_count", lambda: 3)
     before = threading.active_count()
 
-    def worker(pending):
+    def task(item, scratch):
         if threading.current_thread() is not threading.main_thread():
             raise ValueError("helper failed")
-        while True:
-            try:
-                pending.popleft()
-            except IndexError:
-                return
 
     with pytest.raises(ValueError, match="helper failed"):
-        neighbors._share_out(worker, range(10))
+        neighbors._share_out(task, range(10), lambda: None)
     assert threading.active_count() == before
+
+
+def test_a_task_that_returns_true_ends_the_hand_out(monkeypatch):
+    # on one CPU the calling thread takes every item in order: the task that
+    # returns True at item 3 is the last to run, and scratch is made once
+    monkeypatch.setattr(neighbors, "_cpu_count", lambda: 1)
+    ran, made = [], []
+
+    def task(item, scratch):
+        ran.append((item, scratch))
+        return item == 3
+
+    neighbors._share_out(task, range(10), lambda: made.append(1) or "kept")
+    assert ran == [(item, "kept") for item in range(4)]
+    assert made == [1]
 
 
 @pytest.mark.parametrize("name", [
@@ -455,8 +465,8 @@ def test_pair_once_scans_in_two_threads_at_once():
 
 
 def test_carved_arrays_are_aligned_and_disjoint():
-    # every array starts on a 64-byte boundary; the arrays of one layout never
-    # overlap, while each layout starts at the start of the thread's buffer,
+    # every array starts on a 64-byte boundary; the arrays of one call never
+    # overlap, while each call starts at the start of the thread's buffer,
     # and another thread's buffer is elsewhere
     def span(a):
         return a.ctypes.data, a.ctypes.data + a.nbytes
@@ -464,7 +474,7 @@ def test_carved_arrays_are_aligned_and_disjoint():
     layouts = [[((3, 5), np.float64), ((7,), bool), ((2, 3), np.float64), ((0, 4), np.float64),
                 ((9,), np.int32)],
                [((1,), bool), ((5, 5), np.float64)]]
-    first, second = neighbors._carve(*layouts)
+    first, second = (neighbors._carve(*layout) for layout in layouts)
     for carved, layout in zip((first, second), layouts):
         assert [(a.shape, a.dtype) for a in carved] == [(s, np.dtype(t)) for s, t in layout]
         assert all(a.ctypes.data % 64 == 0 for a in carved)
@@ -472,7 +482,7 @@ def test_carved_arrays_are_aligned_and_disjoint():
         assert all(end <= begin for (_, end), (begin, _) in zip(spans, spans[1:]))
     assert first[0].ctypes.data == second[0].ctypes.data
     elsewhere = []
-    helper = threading.Thread(target=lambda: elsewhere.extend(neighbors._carve(*layouts)[0]))
+    helper = threading.Thread(target=lambda: elsewhere.extend(neighbors._carve(*layouts[0])))
     helper.start()
     helper.join(timeout=30)
     assert not helper.is_alive() and len(elsewhere) == len(first)

@@ -3,8 +3,9 @@
 errors.integer: a Python or numpy integer, never a bool, >= a lower bound
 where one applies. errors.positive: real numbers, never bools, every entry
 positive and finite. errors.real: one Python or numpy real number, never a
-bool, in a closed interval. Every call site refuses a bad value with a
-ConfigurationError whose message starts with the argument's name.
+bool, in a closed interval, that float() converts. errors.positive_real:
+one such number, positive and finite (nu). Every call site refuses a bad
+value with a ConfigurationError whose message starts with the argument's name.
 """
 
 import math
@@ -27,14 +28,16 @@ from knnmi import (
     dataset_to_csv,
     derive_seed,
     digamma,
+    estimate_backends,
     gaussian_truth,
     ln_gamma,
     normalize,
     student_t_truth,
 )
-from knnmi.errors import integer, positive, real
+from knnmi.errors import integer, positive, positive_real, real
 
 DATA = Dataset(x=np.arange(10.0)[:, None], y=np.arange(10.0)[::-1, None] ** 2)
+RADII = compute_knn_radii(DATA, 2)
 
 
 def _config(**fields):
@@ -65,6 +68,8 @@ INTEGER_SITES = {
     "derive_seed.repetition": (lambda v: derive_seed(1, "gaussian", 2, 0.5, v), "repetition", 0),
     "dataset_from_csv.d_x": (lambda v, path: dataset_from_csv(path, d_x=v, d_y=1), "d_x", 0),
     "dataset_from_csv.d_y": (lambda v, path: dataset_from_csv(path, d_x=1, d_y=v), "d_y", 0),
+    "estimate_backends.d_x": (lambda v: estimate_backends(RADII, v, 1, ["proposed"]), "d_x", 0),
+    "estimate_backends.d_y": (lambda v: estimate_backends(RADII, 1, v, ["proposed"]), "d_y", 0),
 }
 
 POSITIVE_SITES = {
@@ -76,6 +81,11 @@ POSITIVE_SITES = {
     "digamma": (digamma, "digamma arguments"),
     "ln_gamma": (ln_gamma, "ln_gamma arguments"),
 }
+
+
+# the positive sites that take one number: nu
+NU_SITES = {site: POSITIVE_SITES[site]
+            for site in ("StudentTSpec.nu", "student_t_truth.nu", "config.nu_grid")}
 
 
 # site: (call with the value under test, the argument's name the message starts with)
@@ -92,6 +102,31 @@ def test_real_sites_refuse_and_name_the_argument(site, bad):
     call, name = REAL_SITES[site]
     with pytest.raises(ConfigurationError, match=f"^{name} must be a real number in \\[0, 1\\], got "):
         call(bad)
+
+
+# a Python int beyond float64's range, such as a 400-digit JSON integer
+HUGE = pytest.param(10**400, id="10**400")
+
+
+@pytest.mark.parametrize("bad", [[1.0], HUGE, "1", True, 0, math.inf, math.nan])
+@pytest.mark.parametrize("site", NU_SITES)
+def test_nu_sites_take_one_real_number(site, bad):
+    call, name = NU_SITES[site]
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [0, math.inf])
+def test_nu_out_of_range_reads_positive_and_finite(bad):
+    for call in (lambda: StudentTSpec(d=1, nu=bad, n=10, seed=1), lambda: student_t_truth(1, bad)):
+        with pytest.raises(ConfigurationError, match=f"^nu must be positive and finite, got {float(bad)!r}$"):
+            call()
+
+
+@pytest.mark.parametrize("bad", ["x", None, True, math.nan, -0.1, HUGE])
+def test_derive_seed_param_is_a_real_number(bad):
+    with pytest.raises(ConfigurationError, match=r"^param must be a real number in \[0, inf\], got "):
+        derive_seed(1, "gaussian", 1, bad, 0)
 
 
 def test_generation_refuses_rho_one():
@@ -167,6 +202,12 @@ def test_real_refuses_numpy_bools_complex_and_sequences():
     for value in (np.True_, 1 + 0j, [0.5], np.array(0.5)):
         with pytest.raises(ConfigurationError, match=r"^v must be a real number in \[0, inf\], got "):
             real("v", value, 0, math.inf)
+
+
+@pytest.mark.parametrize("value", [1, 0.5, np.float32(2.0), np.int64(7), 1e308])
+def test_positive_real_returns_a_float(value):
+    got = positive_real("v", value)
+    assert type(got) is float and got == value
 
 
 def _report(nmi):
