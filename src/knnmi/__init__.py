@@ -1,14 +1,13 @@
-"""k-NN normalized mutual information with a numerically stable radius normalization."""
+"""k-NN normalized mutual information with a numerically stable radius normalization.
+
+The names below are the documented surface (README, "Public names"). A type
+the library only hands back, such as an EstimateReport, and a formula it uses
+inside, such as truth.c_term, stay importable from their modules.
+"""
 
 __version__ = "0.1.0"
 
-from .datagen import (
-    GENERATOR_ID,
-    GaussianSpec,
-    StudentTSpec,
-    generate_gaussian,
-    generate_student_t,
-)
+from .datagen import GaussianSpec, StudentTSpec, generate_gaussian, generate_student_t
 from .dataset import Dataset, dataset_checksum, dataset_from_csv, dataset_to_csv
 from .errors import (
     ConfigurationError,
@@ -16,19 +15,9 @@ from .errors import (
     NonFiniteNormalizationError,
     RadiusOverflowError,
 )
-from .estimators import (
-    EstimateReport,
-    estimate,
-    estimate_backends,
-    estimate_from_radii,
-    nmi,
-)
+from .estimators import estimate, estimate_backends, estimate_from_radii
 from .harness import (
     ExperimentConfig,
-    RunRecord,
-    Status,
-    SummaryRow,
-    StabilityRow,
     derive_seed,
     read_records_csv,
     run_sweep,
@@ -39,54 +28,46 @@ from .harness import (
     write_stability_csv,
     write_summary_csv,
 )
-from .neighbors import RadiusSet, compute_knn_radii
-from .scaling import Backend, NormalizationResult, normalize
+from .neighbors import compute_knn_radii
+from .scaling import Backend, normalize
 from .special import digamma, ln_gamma
-from .truth import TruthRecord, c_term, f_aux, gaussian_truth, student_t_truth
+from .truth import gaussian_truth, student_t_truth
 
 __all__ = [
-    "GENERATOR_ID",
+    # data and truth
     "GaussianSpec",
     "StudentTSpec",
     "generate_gaussian",
     "generate_student_t",
+    "gaussian_truth",
+    "student_t_truth",
     "Dataset",
     "dataset_checksum",
     "dataset_from_csv",
     "dataset_to_csv",
-    "ConfigurationError",
-    "DuplicatePointError",
-    "NonFiniteNormalizationError",
-    "RadiusOverflowError",
-    "EstimateReport",
-    "estimate",
-    "estimate_backends",
-    "estimate_from_radii",
-    "nmi",
-    "ExperimentConfig",
-    "RunRecord",
-    "Status",
-    "SummaryRow",
-    "StabilityRow",
-    "derive_seed",
-    "read_records_csv",
-    "run_sweep",
-    "stability_profile",
-    "summarize",
-    "write_records_csv",
-    "write_records_jsonl",
-    "write_stability_csv",
-    "write_summary_csv",
-    "RadiusSet",
+    # estimation
     "compute_knn_radii",
     "Backend",
-    "NormalizationResult",
     "normalize",
+    "estimate",
+    "estimate_from_radii",
+    "estimate_backends",
     "digamma",
     "ln_gamma",
-    "TruthRecord",
-    "c_term",
-    "f_aux",
-    "gaussian_truth",
-    "student_t_truth",
+    # sweeps and files
+    "ExperimentConfig",
+    "derive_seed",
+    "run_sweep",
+    "summarize",
+    "stability_profile",
+    "read_records_csv",
+    "write_records_csv",
+    "write_records_jsonl",
+    "write_summary_csv",
+    "write_stability_csv",
+    # errors
+    "ConfigurationError",
+    "DuplicatePointError",
+    "RadiusOverflowError",
+    "NonFiniteNormalizationError",
 ]

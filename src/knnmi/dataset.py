@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, integer
+from .errors import ConfigurationError, integer, real_array
 
 
 @dataclass(frozen=True)
@@ -19,18 +19,18 @@ class Dataset:
     """N paired samples with marginal dimensionalities d_x and d_y.
 
     ``x`` has shape (n, d_x) and ``y`` has shape (n, d_y); all entries must
-    be finite. A zero-width marginal (d_y = 0) is allowed as a degenerate
-    single-variable fixture.
+    be finite real numbers, never bool, text or complex. A zero-width
+    marginal (d_y = 0) is allowed as a degenerate single-variable fixture.
     """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        if x.ndim != 2 or y.ndim != 2:
-            raise ConfigurationError("x and y must be 2-D sample matrices")
+        x, y = real_array(self.x), real_array(self.y)
+        if x is None or y is None or x.ndim != 2 or y.ndim != 2:
+            raise ConfigurationError("x and y must be 2-D sample matrices of real numbers")
+        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
         if x.shape[0] != y.shape[0]:
             raise ConfigurationError(
                 f"x and y row counts differ: {x.shape[0]} vs {y.shape[0]}"

@@ -18,15 +18,27 @@ def integer(name: str, value, low=None, message=None) -> int:
     return int(value)
 
 
+def real_array(value):
+    """value as a float64 array (0-d for a number) if it holds real numbers: an
+    integer or float dtype, not a ragged list, and no bool among a list's
+    entries (numpy reads [1.0, True] as floats); otherwise None."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        return None
+    if arr.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+        return None
+    return arr.astype(np.float64, copy=False)
+
+
 def positive(name: str, value) -> np.ndarray:
-    """value as a float64 array (0-d for a number): real numbers, never bools,
+    """value as a float64 array (0-d for a number): real numbers (real_array),
     every entry positive and finite."""
-    arr = np.asarray(value)
-    if arr.dtype.kind in "iuf":
-        arr = arr.astype(np.float64, copy=False)
-        if np.all(np.isfinite(arr)) and np.all(arr > 0.0):
-            return arr
-    got = f", got {value!r}" if arr.ndim == 0 else ""
+    arr = real_array(value)
+    if arr is not None and np.all(np.isfinite(arr)) and np.all(arr > 0.0):
+        return arr
+    got = "" if isinstance(value, (list, tuple)) or np.ndim(value) else f", got {value!r}"
     raise ConfigurationError(f"{name} must be positive and finite{got}")
 
 

@@ -295,32 +295,15 @@ def summarize(records) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class StabilityRow:
-    d_joint: int
-    backend: str
-    ln_v: float
-    finite: bool
-
-
-STABILITY_COLUMNS = [f.name for f in fields(StabilityRow)]
+STABILITY_COLUMNS = ["d_joint", "backend", "ln_v", "finite"]
 
 
 def stability_profile(epsilon, dims) -> list:
-    """Evaluate all three ln V backends over a dimension sweep of fixed radii."""
-    dims = [_dim(d) for d in dims]
-    if not dims:
+    """normalize's result for every backend at each joint dimension in dims, over fixed radii."""
+    if not isinstance(dims, (list, tuple, np.ndarray)) or getattr(dims, "ndim", 1) != 1 or len(dims) == 0:
         raise ConfigurationError(_DIMS_RULE)
-    rows = []
-    for d in dims:
-        for backend in Backend:
-            result = normalize(epsilon, d, backend)
-            rows.append(
-                StabilityRow(
-                    d_joint=d, backend=backend.value, ln_v=result.ln_v, finite=result.finite
-                )
-            )
-    return rows
+    dims = [_dim(d) for d in dims]
+    return [normalize(epsilon, d, backend) for d in dims for backend in Backend]
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +317,8 @@ def write_summary_csv(rows, path) -> None:
     write_csv(path, SUMMARY_COLUMNS, map(attrgetter(*SUMMARY_COLUMNS), rows))
 
 
-def write_stability_csv(rows, path) -> None:
-    write_csv(path, STABILITY_COLUMNS, map(attrgetter(*STABILITY_COLUMNS), rows))
+def write_stability_csv(results, path) -> None:
+    write_csv(path, STABILITY_COLUMNS, ((r.d_joint, r.backend.value, r.ln_v, r.finite) for r in results))
 
 
 def write_records_jsonl(records, path) -> None:

@@ -5,9 +5,10 @@ D the joint dimensionality. Three backends compute ln V:
 
 * baseline      — literal linear-domain evaluation. Raising radii to the
                   D-th power overflows double precision once D*ln(eps)
-                  exceeds ~709.8 (and symmetrically underflows for radii
-                  below 1), which is exactly the failure mode under study;
-                  the result is reported with finite=False, never repaired.
+                  exceeds ~709.8, which is exactly the failure mode under
+                  study; that, or a power sum that underflows to 0, is
+                  reported with finite=False, never repaired. Below a
+                  largest term eps_max^D of 2^-1022 it loses bits silently.
 * proposed      — log-domain form: factor out the largest radius so every
                   remaining ratio is <= 1, then
                   ln V = ln eps_max + (1/D) ln(sum (eps_i/eps_max)^D / N).

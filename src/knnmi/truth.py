@@ -6,10 +6,10 @@ Gaussian pairs with componentwise correlation rho:
     H   = (d/2) ln(2 pi e)
     NMI = -ln(1 - rho^2) / ln(2 pi e), capped at 1.0 (rho -> 1 diverges)
 
-Student-t pairs built from latent Gaussians scaled by a shared chi-square
-draw pick up mutual information from the scale variable alone:
+Student-t pairs, independent latent Gaussians scaled by a shared chi-square
+draw, pick up mutual information from the scale variable alone:
 
-    I   = I_latent + c(nu, d),   c(nu, d) = f(nu) + f(nu + 2d) - 2 f(nu + d)
+    I   = c(nu, d) = f(nu) + f(nu + 2d) - 2 f(nu + d)
     f(x) = ln Gamma(x/2) - (x/2) psi(x/2)
     H   = (d/2) ln(nu pi) + f(nu) - f(nu + d)
 
@@ -69,19 +69,14 @@ def c_term(nu: float, d: int) -> float:
     return f_aux(nu) + f_aux(nu + 2.0 * d) - 2.0 * f_aux(nu + d)
 
 
-def student_t_truth(d: int, nu: float, latent_mi: float = 0.0) -> TruthRecord:
-    """Reference values for the Student-t family (identity dispersion).
-
-    latent_mi is the mutual information of the latent Gaussian pair; it is
-    0 for the identity dispersion used throughout the benchmarks, but a
-    correlated latent value from gaussian_truth may be composed in.
-    """
+def student_t_truth(d: int, nu: float) -> TruthRecord:
+    """Reference values for the Student-t family (identity dispersion)."""
     positive_real("nu", nu)
     d = integer("d", d, 1)
     # f at nu, nu + 2d and nu + d in one array pass: the float operations of
     # c_term and f_aux, so the values are bit-identical to theirs
     f_nu, f_2d, f_d = map(float, f_aux(np.array([nu, nu + 2.0 * d, nu + d])))
-    mi = latent_mi + (f_nu + f_2d - 2.0 * f_d)
+    mi = f_nu + f_2d - 2.0 * f_d
     h = 0.5 * d * math.log(nu * math.pi) + f_nu - f_d
     nmi: Optional[float]
     if h > 0.0:

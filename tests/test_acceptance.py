@@ -37,7 +37,9 @@ def report(number, ok, detail):
 
 
 def test_criterion_1_backend_equivalence():
-    """ln V agreement between baseline and proposed wherever baseline is finite."""
+    """ln V agreement between baseline and proposed wherever the largest term
+    eps_max^D is a normal float (at least 2^-1022); below it the baseline loses
+    bits silently, a band that is not yet reported (tests/test_scaling.py)."""
     rng = np.random.default_rng(314159)
     sizes = (10, 100, 1000)
     dims = (1, 2, 8, 32, 64)

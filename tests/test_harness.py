@@ -30,7 +30,7 @@ from knnmi.harness import (
     write_records_csv,
     write_records_jsonl,
 )
-from knnmi.scaling import Backend
+from knnmi.scaling import Backend, normalize
 from knnmi.truth import gaussian_truth
 
 
@@ -422,6 +422,19 @@ class TestStabilityProfile:
         # int() would turn 2.5 into 2 and True into 1 and profile the wrong dimensions
         with pytest.raises(ConfigurationError, match="dims must be a non-empty list"):
             stability_profile([1.0, 2.0], dims)
+
+    @pytest.mark.parametrize("dims", [5, None, "24", {2, 4}, range(2, 5), np.array([[2, 4]]), np.array(2)])
+    def test_dims_must_be_a_list_tuple_or_1d_array(self, dims):
+        with pytest.raises(ConfigurationError, match="dims must be a non-empty list"):
+            stability_profile([1.0, 2.0], dims)
+
+    def test_repeated_dims_and_a_tuple_accepted(self):
+        rows = stability_profile([1.0, 2.0], (4, 4))
+        assert [r.d_joint for r in rows] == [4] * 6
+
+    def test_rows_are_normalize_results(self):
+        rows = stability_profile([1.0, 2.0], [3, 1024])
+        assert rows == [normalize([1.0, 2.0], d, b) for d in (3, 1024) for b in Backend]
 
     def test_numpy_integer_dims_accepted(self):
         rows = stability_profile([1.0, 2.0], np.array([2, 4]))

@@ -17,11 +17,8 @@ from knnmi import (
     Backend,
     ConfigurationError,
     Dataset,
-    EstimateReport,
     ExperimentConfig,
     GaussianSpec,
-    NormalizationResult,
-    Status,
     StudentTSpec,
     compute_knn_radii,
     dataset_from_csv,
@@ -35,6 +32,9 @@ from knnmi import (
     student_t_truth,
 )
 from knnmi.errors import integer, positive, positive_real, real
+from knnmi.estimators import EstimateReport
+from knnmi.harness import Status
+from knnmi.scaling import NormalizationResult
 
 DATA = Dataset(x=np.arange(10.0)[:, None], y=np.arange(10.0)[::-1, None] ** 2)
 RADII = compute_knn_radii(DATA, 2)
@@ -81,6 +81,31 @@ POSITIVE_SITES = {
     "digamma": (digamma, "digamma arguments"),
     "ln_gamma": (ln_gamma, "ln_gamma arguments"),
 }
+
+
+# site: (call with one array entry under test, the message it starts with); the
+# entry sits beside real numbers, where numpy would read True as 1.0
+ARRAY_SITES = {
+    "Dataset.x": (lambda v: Dataset(x=[[1.0], [v]], y=[[1.0], [2.0]]), "(x and y|dataset entries)"),
+    "Dataset.y": (lambda v: Dataset(x=[[1.0], [2.0]], y=[[1.0], [v]]), "(x and y|dataset entries)"),
+    "normalize.radii": (lambda v: normalize([1.0, v], 2, "proposed"), "radii"),
+    "digamma": (lambda v: digamma([1.0, v]), "digamma arguments"),
+}
+
+
+@pytest.mark.parametrize("bad", ["1", True, np.True_, 1 + 2j, None, pytest.param([1.0, 2.0], id="ragged"),
+                                 math.nan])
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_array_entries_are_real_numbers(site, bad):
+    call, name = ARRAY_SITES[site]
+    with pytest.raises(ConfigurationError, match=f"^{name} must"):
+        call(bad)
+
+
+def test_dataset_takes_integer_and_float32_entries():
+    data = Dataset(x=np.array([[1], [2]], dtype=np.int8), y=[[np.float32(0.5)], [3]])
+    assert data.x.dtype == data.y.dtype == np.float64
+    assert data.x.tolist() == [[1.0], [2.0]] and data.y.tolist() == [[0.5], [3.0]]
 
 
 # the positive sites that take one number: nu

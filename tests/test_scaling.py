@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,6 +87,34 @@ class TestProposed:
             r = normalize(eps, d, PROPOSED)
             expected = math.log(m / 40.0) / d
             assert abs(r.ln_v - math.log(1.0) - expected) <= 1e-9
+
+
+class TestGradualUnderflowBand:
+    """Radii from U(0.40, 0.50), N = 1000: the baseline's largest term eps_max^D
+    is a normal float at D = 1000, subnormal at D = 1030-1060 (down to 7e-323),
+    and 0 beyond. Judge: the power mean evaluated in 50-digit mpmath."""
+
+    EPS = np.random.default_rng(1).uniform(0.40, 0.50, size=1000)
+
+    @classmethod
+    def reference(cls, d):
+        with mpmath.workdps(50):
+            return mpmath.log(mpmath.fsum(mpmath.mpf(float(e)) ** d for e in cls.EPS) / cls.EPS.size) / d
+
+    @pytest.mark.parametrize("d", [1000, 1030, 1045, 1060, 1070, 1100, 2000])
+    def test_proposed_within_one_ulp(self, d):
+        ref = self.reference(d)
+        got = normalize(self.EPS, d, PROPOSED).ln_v
+        assert abs(mpmath.mpf(got) - ref) <= math.ulp(float(ref))  # at most 0.49 ulp measured
+
+    def test_baseline_bound_holds_only_while_the_largest_term_is_normal(self):
+        assert float(self.EPS.max()) ** 1000 >= np.finfo(float).tiny
+        assert abs(normalize(self.EPS, 1000, BASELINE).ln_v - float(self.reference(1000))) <= 1e-10
+        # below 2^-1022 the power sum keeps fewer than 53 bits: finite, yet
+        # off by about 5e-6 (the band is not reported as a status yet)
+        silent = normalize(self.EPS, 1060, BASELINE)
+        assert silent.finite and abs(silent.ln_v - float(self.reference(1060))) > 1e-10
+        assert not normalize(self.EPS, 1070, BASELINE).finite
 
 
 class TestDominant:

@@ -122,13 +122,8 @@ class TestStudentTTruth:
 
     def test_gaussian_limit(self):
         assert c_term(1e8, 4) <= 1e-6
-        t = student_t_truth(4, 1e8, latent_mi=0.7)
-        assert t.mi_true == pytest.approx(0.7, abs=1e-6)
-
-    def test_latent_mi_passthrough(self):
-        base = student_t_truth(2, 1.5)
-        shifted = student_t_truth(2, 1.5, latent_mi=0.25)
-        assert shifted.mi_true == pytest.approx(base.mi_true + 0.25, abs=1e-14)
+        t = student_t_truth(4, 1e8)
+        assert t.mi_true == pytest.approx(0.0, abs=1e-6)
 
     def test_entropy_positive_on_benchmark_grid(self):
         for nu in (0.125, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0):
