@@ -129,25 +129,31 @@ def _rows(path, names, lines, casts, check):
 
 def dataset_to_csv(data: Dataset, path) -> None:
     """Write the dataset with full round-trip float precision."""
-    columns = [f"x_{j}" for j in range(1, data.d_x + 1)] + [f"y_{j}" for j in range(1, data.d_y + 1)]
-    write_csv(path, columns, map(np.ndarray.tolist, data.joint()))
+    write_csv(path, _columns(data.d_x, data.d_y), map(np.ndarray.tolist, data.joint()))
+
+
+def _columns(d_x: int, d_y: int) -> list:
+    """A dataset's header: x_1..x_dx, then y_1..y_dy."""
+    return [f"x_{j}" for j in range(1, d_x + 1)] + [f"y_{j}" for j in range(1, d_y + 1)]
 
 
 def dataset_from_csv(path, d_x=None, d_y=None) -> Dataset:
     """Load a dataset written by :func:`dataset_to_csv`.
 
-    The split between x and y columns is taken from the header when the
-    dimensions are not given explicitly; explicit d_x/d_y must sum to the
-    column count.
+    Without d_x and d_y the header must be the one dataset_to_csv writes,
+    x_1..x_dx,y_1..y_dy, and gives the split. Explicit d_x/d_y split the
+    columns by position, whatever their names, and must sum to the column
+    count.
     """
     names, rows = read_csv(path, itertools.repeat(float))
     n_cols = len(names)
     if d_x is None and d_y is None:
         d_x = sum(1 for c in names if c.startswith("x_"))
-        d_y = sum(1 for c in names if c.startswith("y_"))
-        if d_x + d_y != n_cols:
+        d_y = n_cols - d_x
+        if names != _columns(d_x, d_y):
             raise ConfigurationError(
-                f"{path}: cannot infer d_x/d_y from header {','.join(names)!r}"
+                f"{path}: cannot infer d_x/d_y from header {','.join(names)!r}: "
+                f"expected x_1..x_dx,y_1..y_dy, or give both d_x and d_y"
             )
     elif d_x is None or d_y is None:
         raise ConfigurationError("give both d_x and d_y, or neither")

@@ -44,8 +44,8 @@ def positive(name: str, value) -> np.ndarray:
 
 def real(name: str, value, low, high) -> float:
     """value as a float: a Python or numpy real number, never a bool, that
-    float() converts and that lies in [low, high] (so never NaN); otherwise
-    ConfigurationError naming name."""
+    float() converts and that lies in [low, high] (so never NaN), with -0.0
+    read as 0.0; otherwise ConfigurationError naming name."""
     number = math.nan
     if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
         try:
@@ -54,7 +54,7 @@ def real(name: str, value, low, high) -> float:
             pass
     if not low <= number <= high:
         raise ConfigurationError(f"{name} must be a real number in [{low}, {high}], got {value!r}")
-    return number
+    return number + 0.0  # -0.0 + 0.0 is 0.0: one grid value, seed and param
 
 
 def positive_real(name: str, value) -> float:

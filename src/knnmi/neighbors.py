@@ -27,23 +27,33 @@ infinite radius, since the scan then fails anyway. Every reduction
 (max, partition, integer count) is order-independent, so results are
 bit-identical for any chunk size and thread count.
 
-At d_x = d_y = 1 (D = 2) the rows are sorted once by the coordinate with
-more distinct values, called x here (x itself on a tie; a run of tied keys
-holds windows open), and each row's epsilon is the k-th smallest of
-max(|x_p - x_q|, |y_p - y_q|) over a window of x-sorted neighbours, with
-the same float operations as brute force. A row is accepted once the
-nearest row outside its window on each side has |x_p - x_q| >= epsilon:
-fl(x_q - x_p) is monotone in sorted order, so every row outside is at least
-that far in the joint max-norm and the k-th smallest is exact. Rows that
-fail are retried with a window _WINDOW_GROWTH times wider, and a window of
-all N rows always passes; each pass shares its rows out in chunks. The
-counts come from x-sorted and y-sorted order with the subtraction predicate
-|v_q - v_p| < epsilon, whose hits are a contiguous run around p. The
-addition form v_q < v_p + epsilon rounds differently and miscounts on
-decimal data, so it only seeds the search for each edge of the run. This
-is the simplest form of the box-assisted search of Kraskov, Stoegbauer and
-Grassberger (PRE 69, 066138, 2004). On Gaussian data at N = 10000 a row's
-k-th neighbour lies among a few hundred x-sorted rows, not N.
+At d_x = d_y = 1 (D = 2) the rows are sorted once by each coordinate
+(numpy's default argsort), and the first pass runs in the order of the one
+with more distinct values, called x here (x itself on a tie; a run of tied
+keys holds windows open). Each row's epsilon is the k-th smallest of
+max(|x_p - x_q|, |y_p - y_q|) over a window of sorted neighbours, with the
+same float operations as brute force. The window holds the row itself at
+distance 0, so epsilon is read at partition index k, with no write to mask
+self out. A row is accepted once the nearest row outside its window on each
+side has |x_p - x_q| >= epsilon: fl(x_q - x_p) is monotone in sorted order,
+so every row outside is at least that far in the joint max-norm and the
+k-th smallest is exact. Which of two tied rows a window holds is then of no
+account, so the sort need not be stable. A row the first pass leaves
+unresolved has a window k-th distance that bounds its epsilon from above;
+where its window of the same width in y-sorted order already has a gap of
+at least that bound, the row moves to y order, where the same test holds
+with the coordinates' roles exchanged (max is commutative): a row in a
+sparse stretch of x, such as a tail, often lies in a dense stretch of y.
+Rows then fail and are retried in their order with a window _WINDOW_GROWTH
+times wider, and a window of all N rows always passes; each pass shares its
+rows out in chunks (`_window_pass`). The counts come from each coordinate's
+sorted order with the subtraction predicate |v_q - v_p| < epsilon, whose
+hits are a contiguous run around p. The addition form v_q < v_p + epsilon
+rounds differently and miscounts on decimal data, so it only seeds the
+search for each edge of the run. This is the simplest form of the
+box-assisted search of Kraskov, Stoegbauer and Grassberger (PRE 69, 066138,
+2004). On Gaussian data at N = 10000 a row's k-th neighbour lies among a
+few hundred sorted rows, not N.
 
 Brute force scans all ordered pairs: samples are transposed to
 feature-major layout once, then each feature's |a_i - a_j| plane is folded
@@ -196,65 +206,86 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
 def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
     """(epsilon, n_x, n_y) at d_x = d_y = 1 from windows of sorted neighbours."""
     n = x.shape[0]
-    # sort by the coordinate with more distinct values, x on a tie, since a
-    # run of tied keys keeps windows from being accepted; swapping x and y
-    # changes no float operation, and n_x, n_y are swapped back at the end
-    order = np.argsort(x[:, 0], kind="stable")
-    sorted_x, sorted_y = x[order, 0], np.sort(y[:, 0])
-    swap = np.count_nonzero(np.diff(sorted_y)) > np.count_nonzero(np.diff(sorted_x))
-    if swap:
-        x, y, sorted_y = y, x, sorted_x
-        order = np.argsort(x[:, 0], kind="stable")
-    planes = np.stack([x[order, 0], y[order, 0]])  # x-sorted x and y
-    xs, ys = planes
-    padded = np.concatenate([[-np.inf], xs, [np.inf]])  # padded[j] is xs[j - 1]
+    coords = x[:, 0], y[:, 0]
+    # orders[a] sorts coordinate a; planes[a] holds it and the other
+    # coordinate in that order, so planes[a][0] is sorted
+    orders = [np.argsort(c) for c in coords]
+    planes = [np.stack([coords[a][orders[a]], coords[1 - a][orders[a]]]) for a in (0, 1)]
+    # the first pass runs in the order with more distinct values, x on a tie,
+    # since a run of tied keys keeps windows from being accepted
+    a = int(np.count_nonzero(np.diff(planes[1][0])) > np.count_nonzero(np.diff(planes[0][0])))
+    b = 1 - a
     eps = np.empty(n)
-    todo = np.arange(n)
     width = min(n, max(int(_FIRST_WINDOW * math.sqrt(k * n)), k + 1))
-    while todo.size:
-        windows = sliding_window_view(planes, width, axis=1)
-        lo = np.minimum(np.maximum(todo - width // 2, 0), n - width)  # window starts
-        # a row's epsilon is exact once the nearest rows outside its window are
-        # at least that far in x, hence in the joint max-norm (inf at an end)
-        query = xs[todo]
-        gap = np.minimum(np.abs(query - padded[lo]), np.abs(query - padded[lo + width + 1]))
-        rows = max(1, _SCRATCH_ELEMS // (width * _cpu_count()))
-        starts = range(0, todo.size, rows)
-        # one slot per chunk, joined in chunk order: the next pass is the same
-        # for any thread count
-        unresolved = [None] * len(starts)
+    todo, e = _window_pass(planes[a], orders[a], np.arange(n), k, width, eps)
+    # e bounds each unresolved row's epsilon from above: a row moves to the
+    # other order where its window of the same width already spans e
+    rank = np.empty_like(orders[b])
+    rank[orders[b]] = np.arange(n)  # row i sits at position rank[i] in order b
+    moved = rank[orders[a][todo]]
+    move = _window_gaps(planes[b][0], moved, width)[1] >= e
+    retries = (b, np.sort(moved[move]), width), (a, todo[~move], _WINDOW_GROWTH * width)
+    for side, pending, w in retries:
+        while pending.size:
+            w = min(n, w)
+            pending = _window_pass(planes[side], orders[side], pending, k, w, eps)[0]
+            w *= _WINDOW_GROWTH
 
-        def scan_chunk(c: int, scratch: np.ndarray) -> None:
-            """Resolve the rows of chunk c of todo that its windows settle."""
-            s = slice(starts[c], starts[c] + rows)
-            p, first = todo[s], lo[s]
-            if first[-1] - first[0] == p[-1] - p[0] == p.size - 1:
-                # consecutive rows (todo is ascending): their windows are
-                # one strided view, read with no copy
-                near, dist = windows[:, first[0] : first[-1] + 1], scratch[:, : p.size]
-            else:
-                near = dist = windows[:, first]  # a copy, overwritten below
-            np.subtract(planes[:, p, None], near, out=dist)
-            np.abs(dist, out=dist)
-            joint = np.maximum(dist[0], dist[1], out=dist[0])
-            joint[np.arange(p.size), p - first] = np.inf  # exclude self
-            joint.partition(k - 1, axis=1)
-            e = joint[:, k - 1]
-            done = gap[s] >= e
-            eps[p[done]] = e[done]
-            unresolved[c] = p[~done]
+    n_x, n_y = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for counts, (sorted_values, _), order in zip((n_x, n_y), planes, orders):
+        counts[order] = _count_within(sorted_values, sorted_values, eps[order])
+    return eps, n_x, n_y
 
-        _share_out(scan_chunk, range(len(starts)), lambda: np.empty((2, min(rows, todo.size), width)))
-        todo = np.concatenate(unresolved)
-        width = min(n, _WINDOW_GROWTH * width)
 
-    n_x = _count_within(xs, xs, eps)
-    n_y = _count_within(sorted_y, ys, eps)
-    if swap:
-        n_x, n_y = n_y, n_x
-    unsorted = np.empty_like(order)
-    unsorted[order] = np.arange(n)  # row i sits at sorted position unsorted[i]
-    return eps[unsorted], n_x[unsorted], n_y[unsorted]
+def _window_gaps(lead: np.ndarray, rows: np.ndarray, width: int):
+    """(start, gap) of each row's window of width positions in sorted lead.
+
+    gap is the smaller |lead[row] - lead[j]| of the nearest positions j just
+    outside the window, inf past either end of the sample.
+    """
+    n = lead.shape[0]
+    padded = np.concatenate([[-np.inf], lead, [np.inf]])  # padded[j] is lead[j - 1]
+    lo = np.minimum(np.maximum(rows - width // 2, 0), n - width)
+    query = lead[rows]
+    return lo, np.minimum(np.abs(query - padded[lo]), np.abs(query - padded[lo + width + 1]))
+
+
+def _window_pass(planes: np.ndarray, order: np.ndarray, todo: np.ndarray, k: int, width: int,
+                 eps: np.ndarray):
+    """Settle the rows of todo whose window of width sorted neighbours holds their epsilon.
+
+    planes[0] is sorted, and order maps its positions to sample rows; todo
+    holds ascending positions. A settled row's epsilon goes to
+    eps[order[position]]. Returns the positions left and the k-th distance
+    of each one's window.
+    """
+    lo, gap = _window_gaps(planes[0], todo, width)
+    windows = sliding_window_view(planes, width, axis=1)
+    rows = max(1, _SCRATCH_ELEMS // (width * _cpu_count()))
+    kth = np.empty(todo.size)  # each row's window k-th distance; chunks fill disjoint slices
+
+    def scan_chunk(start: int, scratch: np.ndarray) -> None:
+        """kth of the rows of todo from start, a chunk of up to rows rows."""
+        s = slice(start, start + rows)
+        p, first = todo[s], lo[s]
+        if first[-1] - first[0] == p[-1] - p[0] == p.size - 1:
+            # consecutive rows (todo is ascending): their windows are
+            # one strided view, read with no copy
+            near, dist = windows[:, first[0] : first[-1] + 1], scratch[:, : p.size]
+        else:
+            near = dist = windows[:, first]  # a copy, overwritten below
+        np.subtract(planes[:, p, None], near, out=dist)
+        np.abs(dist, out=dist)
+        joint = np.maximum(dist[0], dist[1], out=dist[0])
+        # every window holds its own row at distance 0, so the k-th
+        # neighbour's distance is the (k + 1)-th smallest
+        joint.partition(k, axis=1)
+        kth[s] = joint[:, k]
+
+    _share_out(scan_chunk, range(0, todo.size, rows), lambda: np.empty((2, min(rows, todo.size), width)))
+    done = gap >= kth
+    eps[order[todo[done]]] = kth[done]
+    return todo[~done], kth[~done]
 
 
 def _count_within(sorted_values: np.ndarray, values: np.ndarray, eps: np.ndarray) -> np.ndarray:

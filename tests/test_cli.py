@@ -132,6 +132,15 @@ def test_estimate_infers_dims_from_header(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
 
+@pytest.mark.parametrize("header", ["y_1,x_1", "x_1,y_1,x_2"])
+def test_estimate_refuses_a_header_it_would_split_wrongly(tmp_path, capsys, header):
+    path = tmp_path / "h.csv"
+    rows = np.arange(30.0).reshape(10, 3)[:, : header.count(",") + 1] ** 1.5
+    path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    assert run_cli("estimate", "--data", str(path), "--k", "2") == 1
+    assert f"cannot infer d_x/d_y from header {header!r}" in capsys.readouterr().err
+
+
 def test_estimate_duplicate_points_is_config_error(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("x_1,y_1\n1.0,2.0\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")

@@ -160,6 +160,27 @@ class TestCsvInterchange:
         with pytest.raises(ConfigurationError):
             dataset_from_csv(path, d_x=3, d_y=3)
 
+    @pytest.mark.parametrize("header", ["y_1,x_1", "x_1,y_1,x_2", "x_2,y_1", "x_1,b", "a,b"])
+    def test_inferred_split_needs_the_written_header(self, tmp_path, header):
+        # the split is by position, so a header that names the columns in any
+        # other order would load some y column as x: refused unless d_x and
+        # d_y are given
+        path = tmp_path / "h.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["1.5"] * width) + "\n")
+        message = f"{path}: cannot infer d_x/d_y from header {header!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            dataset_from_csv(path)
+        back = dataset_from_csv(path, d_x=1, d_y=width - 1)
+        assert back.d_x == 1 and back.d_y == width - 1
+
+    def test_one_marginal_header_loads(self, tmp_path):
+        for header, d_x in (("x_1,x_2", 2), ("y_1", 0)):
+            path = tmp_path / "one.csv"
+            path.write_text(header + "\n" + ",".join(["0.5"] * (header.count(",") + 1)) + "\n")
+            back = dataset_from_csv(path)
+            assert (back.d_x, back.d_y) == (d_x, header.count(",") + 1 - d_x)
+
     def test_dialect_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b", "c", "d"], [(None, True, 0.1, 3), ("s", False, 1e-300, -2)])

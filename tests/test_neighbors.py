@@ -365,13 +365,32 @@ def test_scan_is_chosen_by_shape(monkeypatch):
         assert used == [want], (n, d_x, d_y)
 
 
-@pytest.mark.parametrize("n, k", [(500, 1), (2000, 5), (2000, 40)])
-def test_sorted_window_scan_equals_brute_force(n, k, monkeypatch):
-    # Student-t-like tails: far-out rows need several window growths, and
-    # rows with a large |y| need windows spanning most of the sample. Default
-    # windows and scratch, then pinned ones with several chunks per pass
+def sorted_window_data(family, n, rng):
+    """(x, y) at d_x = d_y = 1 for the sorted-window cases."""
+    if family == "student_t":
+        return rng.standard_t(0.5, (n, 1)), rng.standard_t(0.5, (n, 1))
+    if family == "cauchy":
+        return rng.standard_cauchy((n, 1)), rng.standard_cauchy((n, 1))
+    if family == "binary_x":
+        return rng.integers(0, 2, (n, 1)).astype(float), rng.normal(size=(n, 1))
+    z = rng.normal(size=(n, 2))
+    rho = {"gaussian": 0.0, "gaussian_0.9": 0.9}[family]
+    return z[:, :1], rho * z[:, :1] + np.sqrt(1 - rho * rho) * z[:, 1:]
+
+
+@pytest.mark.parametrize("family, n, k", [
+    *(pytest.param("student_t", n, k, id=f"{n}-{k}") for n, k in ((500, 1), (2000, 5), (2000, 40))),
+    *((family, n, k) for family in ("gaussian", "gaussian_0.9", "cauchy", "binary_x")
+      for n in (257, 2000) for k in (1, 5)),
+])
+def test_sorted_window_scan_equals_brute_force(family, n, k, monkeypatch):
+    # Student-t-like and Cauchy tails: far-out rows need several window
+    # growths, and rows with a large |y| need windows spanning most of the
+    # sample; the default windows retry many rows in y-sorted order. Binary x
+    # is sorted by y. Default windows and scratch, then pinned ones with
+    # several chunks per pass
     rng = np.random.default_rng(n + k)
-    x, y = rng.standard_t(0.5, (n, 1)), rng.standard_t(0.5, (n, 1))
+    x, y = sorted_window_data(family, n, rng)
     want = neighbors._brute_force_scan(x, y, k)
     for workers in (None, 1, 2, 3):
         with monkeypatch.context() as m:
@@ -535,6 +554,54 @@ def test_sorted_window_scan_sorts_by_the_more_distinct_coordinate(monkeypatch):
         passes.clear()
         assert_matches_oracle(compute_knn_radii(data, 3), data, 3)
         assert len(passes) == 1
+
+
+def test_sorted_window_scan_retries_rows_in_y_order(monkeypatch):
+    # Gaussian pairs at N = 1000: sorted by x, a few rows' first windows miss
+    # their radius; where a window as wide in y-sorted order already spans the
+    # x window's k-th distance, the row moves there and a y-order pass settles it
+    passes = []
+    window_pass = neighbors._window_pass
+
+    def spy(planes, order, todo, k, width, eps):
+        left = window_pass(planes, order, todo, k, width, eps)
+        passes.append((planes[0].copy(), todo.size, left[0].size))
+        return left
+
+    monkeypatch.setattr(neighbors, "_window_pass", spy)
+    rng = np.random.default_rng(47)
+    data = Dataset(rng.normal(size=(1000, 1)), rng.normal(size=(1000, 1)))
+    assert_matches_oracle(compute_knn_radii(data, 3), data, 3)
+    sorted_x, sorted_y = np.sort(data.x[:, 0]), np.sort(data.y[:, 0])
+    assert np.array_equal(passes[0][0], sorted_x) and passes[0][1] == 1000
+    y_settled = sum(todo - left for lead, todo, left in passes if np.array_equal(lead, sorted_y))
+    assert y_settled > 0
+    assert sum(todo - left for _, todo, left in passes) == 1000
+
+
+@pytest.mark.parametrize("shape", ["integer_grid", "binary_x"])
+def test_permuted_tie_heavy_rows_permute_the_results(shape, monkeypatch):
+    # windows hold whichever tied rows the sort puts there, so tied keys in
+    # another order must still give each sample the same radius and counts
+    rng = np.random.default_rng(53)
+    n = 800
+    if shape == "integer_grid":
+        x, y = rng.integers(0, 40, (n, 1)), rng.integers(0, 40, (n, 1))
+    else:
+        x, y = rng.integers(0, 2, (n, 1)), rng.integers(0, 300, (n, 1))
+    data, k = Dataset(x.astype(float), y.astype(float)), 8
+    for pinned in (False, True):
+        with monkeypatch.context() as m:
+            if pinned:
+                pin_scan(m, 4 * n, 2)
+            rs = compute_knn_radii(data, k)
+            for _ in range(3):
+                perm = rng.permutation(n)
+                rs_p = compute_knn_radii(Dataset(data.x[perm], data.y[perm]), k)
+                for name in ("epsilon", "n_x", "n_y"):
+                    np.testing.assert_array_equal(getattr(rs_p, name), getattr(rs, name)[perm],
+                                                  err_msg=f"{name} pinned={pinned}")
+    assert_matches_oracle(rs, data, k)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

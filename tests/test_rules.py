@@ -27,6 +27,7 @@ from knnmi import (
     digamma,
     estimate_backends,
     gaussian_truth,
+    generate_gaussian,
     ln_gamma,
     normalize,
     student_t_truth,
@@ -221,6 +222,21 @@ def test_positive_refuses_bool_and_text_arrays():
 def test_real_accepts_python_and_numpy_reals(value):
     got = real("v", value, 0, 1)
     assert type(got) is float and got == value
+
+
+def test_negative_zero_is_the_grid_value_zero():
+    # errors.real reads -0.0 as 0.0, so a -0.0 grid entry names the cell of 0.0:
+    # the same param, seed, data and truth
+    assert math.copysign(1.0, real("v", -0.0, 0, 1)) == 1.0
+    assert _config(rho_grid=[-0.0]).rho_grid == [0.0]
+    assert repr(_config(rho_grid=[-0.0]).rho_grid[0]) == "0.0"
+    with pytest.raises(ConfigurationError, match="more than once"):
+        _config(rho_grid=[0.0, -0.0])
+    assert derive_seed(1, "gaussian", 1, -0.0, 0) == derive_seed(1, "gaussian", 1, 0.0, 0)
+    assert derive_seed(1, "gaussian", 1, -0.0, 0) == 1137054322926650340
+    assert gaussian_truth(2, -0.0) == gaussian_truth(2, 0.0)
+    specs = [GaussianSpec(d=2, rho=rho, n=20, seed=3) for rho in (-0.0, 0.0)]
+    np.testing.assert_array_equal(*(generate_gaussian(spec).y for spec in specs))
 
 
 def test_real_refuses_numpy_bools_complex_and_sequences():
