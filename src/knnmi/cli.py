@@ -61,6 +61,8 @@ def _parse_number_list(text: str, cast):
             start, stop, step = (_number(p, int) for p in parts)
             if step < 1:
                 raise ConfigurationError(f"range step must be positive in {token!r}")
+            if start > stop:
+                raise ConfigurationError(f"range token yields no value: {token!r}")
             values.extend(range(start, stop + 1, step))
         else:
             values.append(_number(token, cast))

@@ -48,12 +48,18 @@ Rows then fail and are retried in their order with a window _WINDOW_GROWTH
 times wider, and a window of all N rows always passes; each pass shares its
 rows out in chunks (`_window_pass`). The counts come from each coordinate's
 sorted order with the subtraction predicate |v_q - v_p| < epsilon, whose
-hits are a contiguous run around p. The addition form v_q < v_p + epsilon
-rounds differently and miscounts on decimal data, so it only seeds the
-search for each edge of the run. This is the simplest form of the
-box-assisted search of Kraskov, Stoegbauer and Grassberger (PRE 69, 066138,
-2004). On Gaussian data at N = 10000 a row's k-th neighbour lies among a
-few hundred sorted rows, not N.
+hits are a contiguous run around p; n_x and n_y run at the same time, one
+coordinate per thread, through the same hand-out. The addition form
+v_q < v_p + epsilon rounds differently and miscounts on decimal data, so it
+only seeds each edge of the run: the keys v_p -+ epsilon are searched in
+their own sorted order, which is faster than in row order. An edge whose
+seed the subtraction predicate rejects is found by one probe of the seed's
+neighbour, then by bisection of the sorted positions on that side, so a far
+outlier, whose seeds land mid-sample, costs about log2 N steps, not N
+(`_count_within`). This is the simplest form of the box-assisted search
+of Kraskov, Stoegbauer and Grassberger (PRE 69, 066138, 2004). On Gaussian
+data at N = 10000 a row's k-th neighbour lies among a few hundred sorted
+rows, not N.
 
 Brute force scans all ordered pairs: samples are transposed to
 feature-major layout once, then each feature's |a_i - a_j| plane is folded
@@ -231,10 +237,13 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
             pending = _window_pass(planes[side], orders[side], pending, k, w, eps)[0]
             w *= _WINDOW_GROWTH
 
-    n_x, n_y = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for counts, (sorted_values, _), order in zip((n_x, n_y), planes, orders):
-        counts[order] = _count_within(sorted_values, sorted_values, eps[order])
-    return eps, n_x, n_y
+    counts = np.empty((2, n), dtype=np.int64)  # n_x and n_y, one coordinate per thread
+
+    def count(a: int, _) -> None:
+        counts[a, orders[a]] = _count_within(planes[a][0], eps[orders[a]])
+
+    _share_out(count, (0, 1), lambda: None)
+    return eps, counts[0], counts[1]
 
 
 def _window_gaps(lead: np.ndarray, rows: np.ndarray, width: int):
@@ -288,30 +297,43 @@ def _window_pass(planes: np.ndarray, order: np.ndarray, todo: np.ndarray, k: int
     return todo[~done], kth[~done]
 
 
-def _count_within(sorted_values: np.ndarray, values: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """#{j : |sorted_values[j] - v| < eps} - 1 for each v.
+def _count_within(sorted_values: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """#{j : |s_j - s_i| < eps[i]} - 1 for each i, where s = sorted_values.
 
-    fl(s_j - v) is nondecreasing in j, so the rows inside form the run
-    [first j with s_j - v > -eps, first j with s_j - v >= eps). searchsorted
-    on v -+ eps guesses each edge; the guess is then moved, one run of equal
-    values at a time, until the subtraction predicate holds at it and fails
-    just before it.
+    fl(s_j - s_i) is nondecreasing in j, so the rows inside form the run
+    [first j with s_j - s_i > -eps[i], first j with s_j - s_i >= eps[i]).
+    searchsorted of the keys s_i -+ eps[i], taken in sorted order, seeds
+    each edge; a seed is kept where the subtraction predicate fails just
+    before it and holds at it. Any other edge is searched with the same
+    predicate over the sorted values padded with -inf and inf, where it is
+    false at the first position and true at the last (also at eps = inf):
+    the failed check brackets the edge on the seed's side, one probe tries
+    the seed's neighbour (in Gaussian samples at N = 10000 every seed that
+    failed was one position off), and bisection halves what is left. A row
+    takes at most ceil(log2 n) + 1 steps however far its seed was: a far
+    outlier's seeds land mid-sample.
     """
-    # padded[j] is sorted_values[j - 1]; the infinite ends stop both moves
-    padded = np.concatenate([[-np.inf], sorted_values, [np.inf]])
+    n = sorted_values.shape[0]
+    padded = np.concatenate([[-np.inf], sorted_values, [np.inf]])  # padded[j] is s_(j - 1)
     edges = []
-    for guess, at_or_past in (
-        (np.searchsorted(sorted_values, values - eps, "right"), lambda d: d > -eps),
-        (np.searchsorted(sorted_values, values + eps, "left"), lambda d: d >= eps),
-    ):
-        j = guess
-        while True:
-            back = at_or_past(padded[j] - values)
-            ahead = ~at_or_past(padded[j + 1] - values)
-            if not (back.any() or ahead.any()):
-                break
-            j[back] = np.searchsorted(sorted_values, padded[j[back]], "left")
-            j[ahead] = np.searchsorted(sorted_values, padded[j[ahead] + 1], "right")
+    for key, side, holds, bound in ((sorted_values - eps, "right", np.greater, -eps),
+                                    (sorted_values + eps, "left", np.greater_equal, eps)):
+        # searchsorted on sorted keys: 0.17 ms against 0.47 ms in row order at
+        # N = 10000, and the argsort costs 0.09 ms
+        by_key = np.argsort(key)
+        j = np.empty(n, dtype=np.intp)
+        j[by_key] = np.searchsorted(sorted_values, key[by_key], side)
+        back = holds(padded[j] - sorted_values, bound)
+        off = np.flatnonzero(back | ~holds(padded[j + 1] - sorted_values, bound))
+        # the predicate fails at padded[lo] and holds at padded[hi]; the edge is lo once hi = lo + 1
+        back, seed, v, b = back[off], j[off], sorted_values[off], bound[off]
+        lo, hi = np.where(back, 0, seed + 1), np.where(back, seed, n + 1)
+        mid = np.where(back, seed - 1, seed + 2)
+        while (hi - lo > 1).any():
+            at = holds(padded[mid] - v, b)
+            lo, hi = np.where(at, lo, mid), np.where(at, mid, hi)
+            mid = (lo + hi) // 2
+        j[off] = lo
         edges.append(j)
     return edges[1] - edges[0] - 1
 

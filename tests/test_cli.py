@@ -260,6 +260,9 @@ def test_bad_numbers_in_flags_are_named(tmp_path, capsys):
         (("--epsilon", "1,2", "--dims", "2.5"), "expected an integer, got '2.5'"),
         (("--epsilon", "1,abc", "--dims", "2"), "expected a number, got 'abc'"),
         (("--epsilon", "1", "--dims", "2:x:2"), "expected an integer, got 'x'"),
+        # an empty range among other tokens must not vanish from the grid
+        (("--epsilon", "1,2", "--dims", "10:5:1,3"), "range token yields no value: '10:5:1'"),
+        (("--epsilon", "1", "--dims", "10:5:1"), "range token yields no value: '10:5:1'"),
     ):
         capsys.readouterr()
         assert run_cli("stability", *flags, "--out", out) == 1, flags

@@ -546,8 +546,8 @@ def test_sorted_window_scan_sorts_by_the_more_distinct_coordinate(monkeypatch):
     # coordinate, every window is accepted in the first pass; sorted by the
     # tied one, a window must first grow past a run of about 200 ties
     passes = []
-    share_out = neighbors._share_out
-    monkeypatch.setattr(neighbors, "_share_out", lambda *args: (passes.append(1), share_out(*args)))
+    window_pass = neighbors._window_pass
+    monkeypatch.setattr(neighbors, "_window_pass", lambda *args: (passes.append(1), window_pass(*args))[1])
     rng = np.random.default_rng(41)
     tied, distinct = rng.integers(0, 2, (400, 1)).astype(float), rng.normal(size=(400, 1))
     for data in (Dataset(tied, distinct), Dataset(distinct, tied)):
@@ -577,6 +577,68 @@ def test_sorted_window_scan_retries_rows_in_y_order(monkeypatch):
     y_settled = sum(todo - left for lead, todo, left in passes if np.array_equal(lead, sorted_y))
     assert y_settled > 0
     assert sum(todo - left for _, todo, left in passes) == 1000
+
+
+def count_within_cases():
+    """(sorted values, eps) pairs on which a count edge is easy to get wrong."""
+    rng = np.random.default_rng(59)
+    normal = np.sort(rng.normal(size=300))
+    cases = {
+        "gaussian": (normal, rng.uniform(0.01, 1.0, 300)),
+        "cauchy": (np.sort(rng.standard_cauchy(300)), rng.uniform(0.01, 5.0, 300)),
+        "t_0.125": (np.sort(rng.standard_t(0.125, 300)), rng.uniform(0.01, 5.0, 300)),
+        # many differences equal eps exactly
+        "integer_ties": (np.sort(rng.integers(0, 20, 300)).astype(float),
+                         rng.integers(1, 4, 300).astype(float)),
+        # s_q - s_p and s_p + eps round differently at these
+        "decimal_grid": (np.sort(rng.integers(0, 500, 300)) / 100, rng.integers(1, 30, 300) / 100),
+        "subnormal": (np.sort(np.ldexp(rng.integers(-2**20, 2**20, 300).astype(float), -1074)),
+                      np.ldexp(rng.integers(1, 2**12, 300).astype(float), -1074)),
+        "eps_inf": (normal, np.full(300, np.inf)),
+        "n_2": (np.array([-1.0, 2.0]), np.array([3.0, 1.0])),
+    }
+    for outlier in (1e300, 1e40):
+        # the outlier's seeds from s -+ eps land mid-sample, far from its edges
+        values, eps = np.append(normal, outlier), np.append(rng.uniform(0.01, 1.0, 300), outlier)
+        cases[f"outlier_{outlier:g}"] = values, eps
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(count_within_cases()))
+def test_count_within_matches_a_per_row_count(name):
+    values, eps = count_within_cases()[name]
+    with np.errstate(over="ignore"):
+        want = [np.count_nonzero(values - v < e) - np.count_nonzero(values - v <= -e) - 1
+                for v, e in zip(values, eps)]
+        np.testing.assert_array_equal(neighbors._count_within(values, eps), want)
+
+
+def test_count_within_search_work_does_not_grow_with_n(monkeypatch):
+    # one outlier whose radius is its own magnitude: searchsorted seeds its
+    # edges about n / 2 positions off, and a search that moved them one run
+    # of equal values at a time made over 1800 searchsorted calls at n = 2000
+    calls = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *args: (calls.append(1), searchsorted(*args))[1])
+    rng = np.random.default_rng(7)
+    made = []
+    for n in (2000, 8000):
+        values = np.sort(np.append(rng.normal(size=n - 1), 1e40))
+        eps = np.append(np.full(n - 1, 0.5), 1e40)
+        calls.clear()
+        assert neighbors._count_within(values, eps)[-1] == 0
+        made.append(len(calls))
+    assert made[0] == made[1] <= 2
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sorted_window_scan_with_a_far_outlier_matches_oracle(workers, monkeypatch):
+    rng = np.random.default_rng(61)
+    x, y = rng.normal(size=(3000, 1)), rng.normal(size=(3000, 1))
+    x[1234] = 1e40
+    data = Dataset(x, y)
+    pin_scan(monkeypatch, 4 * 3000, workers)
+    assert_matches_oracle(compute_knn_radii(data, 5), data, 5)
 
 
 @pytest.mark.parametrize("shape", ["integer_grid", "binary_x"])
