@@ -24,7 +24,6 @@ from .harness import (
     stability_profile,
     summarize,
     write_records_csv,
-    write_records_jsonl,
     write_stability_csv,
     write_summary_csv,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "stability_profile",
     "read_records_csv",
     "write_records_csv",
-    "write_records_jsonl",
     "write_summary_csv",
     "write_stability_csv",
     # errors

@@ -25,7 +25,6 @@ from .harness import (
     stability_profile,
     summarize,
     write_records_csv,
-    write_records_jsonl,
     write_stability_csv,
     write_summary_csv,
 )
@@ -80,7 +79,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_sweep)
     p.add_argument("--config", required=True, help="JSON file mirroring ExperimentConfig fields")
     p.add_argument("--out", required=True, help="records CSV output path")
-    p.add_argument("--jsonl", default=None, help="optional JSON-lines mirror")
 
     p = sub.add_parser("summarize", help="aggregate a records CSV into per-cell stats")
     p.set_defaults(run=_cmd_summarize)
@@ -117,8 +115,6 @@ def _cmd_sweep(args) -> None:
     config = ExperimentConfig.from_json_file(args.config)
     records = run_sweep(config)
     write_records_csv(records, args.out)
-    if args.jsonl:
-        write_records_jsonl(records, args.jsonl)
     meta = {
         "records": len(records),
         "out": args.out,

@@ -24,8 +24,11 @@ target the true MI; the NMI is that MI over these relative entropies, not
 over the Shannon entropies of the data.
 
 NMI is undefined when the entropy product is not positive; that case
-returns None rather than raising, because mildly negative relative
-entropies are legitimate data for concentrated marginals. Estimates are
+returns None rather than raising, because negative relative entropies are
+legitimate data. The d_x < ln eps_tilde > term falls about linearly in d_x,
+so at Gaussian rho 0.5, k = 5 both marginal entropies cross zero near
+d = 24 at N = 1000 and near d = 32 at N = 10000. Past that both are
+negative, their product is positive, and the NMI is defined. Estimates are
 never clamped to [0, 1].
 """
 

@@ -208,22 +208,18 @@ def derive_seed(base_seed: int, family: str, d: int, param: float, repetition: i
     return int.from_bytes(digest[:8], "big")
 
 
-def _generate(config: ExperimentConfig, d: int, param_gen: float, seed: int) -> Dataset:
-    return FAMILIES[config.family].dataset(d, param_gen, config.n, seed)
-
-
 _ESTIMATE_FIELDS = ("mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies", "nmi")
 
 
 def run_sweep(config: ExperimentConfig) -> list:
     """Run every repetition of every cell in config.cells() with each backend."""
-    param_name = FAMILIES[config.family].param
+    family = FAMILIES[config.family]
     records = []
     for d, param, param_gen, nmi_true in config.cells():
         for rep in range(config.repetitions):
             seed = derive_seed(config.base_seed, config.family, d, param, rep)
             start = time.perf_counter()
-            data = _generate(config, d, param_gen, seed)
+            data = family.dataset(d, param_gen, config.n, seed)
             checksum = dataset_checksum(data)
             try:
                 radii = compute_knn_radii(data, config.k)
@@ -241,7 +237,7 @@ def run_sweep(config: ExperimentConfig) -> list:
                     RunRecord(
                         family=config.family,
                         d=d,
-                        param_name=param_name,
+                        param_name=family.param,
                         param=param,
                         param_gen=param_gen,
                         repetition=rep,
@@ -307,7 +303,7 @@ def stability_profile(epsilon, dims) -> list:
 
 
 # ---------------------------------------------------------------------------
-# flat-file output: CSV (canonical) and JSON-lines (optional mirror)
+# flat-file output: CSV
 
 def write_records_csv(records, path) -> None:
     write_csv(path, RECORD_COLUMNS, map(attrgetter(*RECORD_COLUMNS), records))
@@ -319,13 +315,6 @@ def write_summary_csv(rows, path) -> None:
 
 def write_stability_csv(results, path) -> None:
     write_csv(path, STABILITY_COLUMNS, ((r.d_joint, r.backend.value, r.ln_v, r.finite) for r in results))
-
-
-def write_records_jsonl(records, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for rec in records:
-            obj = {c: getattr(rec, c) for c in RECORD_COLUMNS}
-            fh.write(json.dumps(obj) + "\n")
 
 
 def _or_none(cast):
@@ -347,8 +336,12 @@ _STATUS = RECORD_COLUMNS.index("status")
 
 def _record_fault(row):
     """(column index, reason) for the first field of a parsed records row that
-    run_sweep never writes so: empty outside the Optional columns, an unknown
-    status, or estimate fields that do not match the status; else None."""
+    run_sweep never writes so: a nan or infinite number, empty outside the
+    Optional columns, an unknown status, or estimate fields that do not match
+    the status; else None."""
+    for i, value in enumerate(row):
+        if isinstance(value, float) and not np.isfinite(value):
+            return i, f"not finite: {value!r}"
     for i in _REQUIRED:
         if row[i] is None:
             return i, "empty"

@@ -11,7 +11,7 @@ import pytest
 from knnmi import harness
 from knnmi.cli import main
 from knnmi.dataset import dataset_from_csv, dataset_to_csv
-from knnmi.harness import RECORD_COLUMNS, SUMMARY_COLUMNS, STABILITY_COLUMNS, ExperimentConfig
+from knnmi.harness import RECORD_COLUMNS, SUMMARY_COLUMNS, STABILITY_COLUMNS
 
 
 def run_cli(*argv):
@@ -69,9 +69,7 @@ def test_gen_and_the_sweep_build_the_same_dataset(tmp_path, family, param):
     gen_csv, sweep_csv = tmp_path / "gen.csv", tmp_path / "sweep.csv"
     assert run_cli("gen", "--family", family, "--d", "3", f"--{name}", str(param),
                    "--n", "50", "--seed", "11", "--out", str(gen_csv)) == 0
-    config = ExperimentConfig(family=family, base_seed=1, dims=[3], n=50, k=3,
-                              **{f"{name}_grid": [param]})
-    dataset_to_csv(harness._generate(config, 3, param, 11), sweep_csv)
+    dataset_to_csv(harness.FAMILIES[family].dataset(3, param, 50, 11), sweep_csv)
     assert gen_csv.read_bytes() == sweep_csv.read_bytes()
 
 
@@ -179,16 +177,13 @@ def test_sweep_summarize_pipeline(tmp_path, capsys):
         "backends": ["baseline", "proposed"],
     }))
     records_path = tmp_path / "records.csv"
-    jsonl_path = tmp_path / "records.jsonl"
-    assert run_cli("sweep", "--config", str(cfg), "--out", str(records_path),
-                   "--jsonl", str(jsonl_path)) == 0
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(records_path)) == 0
     meta = json.loads(capsys.readouterr().out)
     assert meta["records"] == 8
     assert meta["generator"] == "numpy-philox-4x64"
 
     header = records_path.read_text().splitlines()[0]
     assert header == ",".join(RECORD_COLUMNS)
-    assert len(jsonl_path.read_text().splitlines()) == 8
 
     summary_path = tmp_path / "summary.csv"
     assert run_cli("summarize", "--records", str(records_path),
@@ -302,6 +297,27 @@ def test_summarize_bad_cell_is_named(tmp_path, capsys):
     assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
     err = capsys.readouterr().err
     assert f"{path}: row 3, column {column + 1} (nmi): not a number: 'abc'" in err
+
+
+@pytest.mark.parametrize("column, value, shown", [
+    ("nmi", "nan", "nan"),
+    ("h_x", "inf", "inf"),
+    ("mi_ksg", "-inf", "-inf"),
+    ("param", "NaN", "nan"),
+    ("wall_time_ms", "inf", "inf"),
+])
+def test_summarize_refuses_a_number_that_is_not_finite(tmp_path, capsys, column, value, shown):
+    # a sweep writes only finite numbers, and a nan would pass into mean_nmi
+    path = _records_csv(tmp_path)
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[RECORD_COLUMNS.index(column)] = value
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    capsys.readouterr()
+    assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: row 2, column {RECORD_COLUMNS.index(column) + 1} ({column}): not finite: {shown}\n")
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("column, value, reason", [

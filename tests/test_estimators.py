@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knnmi.datagen import GaussianSpec, generate_gaussian
 from knnmi.dataset import Dataset
 from knnmi.errors import NonFiniteNormalizationError
 from knnmi.estimators import (
@@ -15,6 +16,7 @@ from knnmi.estimators import (
     estimate_from_radii,
     nmi,
 )
+from knnmi.harness import Status
 from knnmi.neighbors import RadiusSet, compute_knn_radii
 from knnmi.scaling import Backend, NormalizationResult
 from knnmi.special import digamma
@@ -108,6 +110,17 @@ class TestRelativeEntropies:
         assert r2.h_x == pytest.approx(r1.h_x, abs=1e-12)
         assert r2.h_y == pytest.approx(r1.h_y, abs=1e-12)
         assert r2.h_xy == pytest.approx(r1.h_xy, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_marginal_entropies_cross_zero_between_d_8_and_48(self, seed):
+        # d_x <ln(eps / V)> < 0 falls about linearly in d_x, so at N = 1000
+        # both relative entropies turn negative near d = 24; their product is
+        # then positive again and the NMI defined
+        low, high = (estimate(generate_gaussian(GaussianSpec(d=d, rho=0.5, n=1000, seed=seed)), k=5)
+                     for d in (8, 48))
+        assert low.h_x > 0.0 and low.h_y > 0.0
+        assert high.h_x < 0.0 and high.h_y < 0.0
+        assert Status.of(high) is Status.OK and high.nmi > 0.0
 
 
 class TestNmi:

@@ -28,7 +28,6 @@ from knnmi.harness import (
     stability_profile,
     summarize,
     write_records_csv,
-    write_records_jsonl,
 )
 from knnmi.scaling import Backend, normalize
 from knnmi.truth import gaussian_truth
@@ -275,7 +274,8 @@ class TestRunSweep:
         import knnmi.harness as harness
 
         dup = Dataset(np.array([[0.0], [0.0], [1.0], [2.0]]), np.zeros((4, 1)))
-        monkeypatch.setattr(harness, "_generate", lambda *a, **k: dup)
+        monkeypatch.setitem(harness.FAMILIES, "gaussian",
+                            harness.FAMILIES["gaussian"]._replace(generate=lambda spec: dup))
         records = run_sweep(small_config(n=4, k=1, repetitions=1, rho_grid=[0.0]))
         assert [r.status for r in records] == [Status.DUPLICATE_POINTS.value] * 2
         assert all(r.nmi is None for r in records)
@@ -460,15 +460,6 @@ class TestFileFormats:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigurationError):
             read_records_csv(path)
-
-    def test_jsonl_mirror_field_names(self, tmp_path):
-        records = run_sweep(small_config(repetitions=1, rho_grid=[0.0]))
-        path = tmp_path / "records.jsonl"
-        write_records_jsonl(records, path)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) == len(records)
-        assert list(lines[0]) == RECORD_COLUMNS
-        assert lines[0]["nmi"] == records[0].nmi
 
     def test_floats_round_trip_full_precision(self, tmp_path):
         records = run_sweep(small_config(repetitions=1, rho_grid=[0.6]))
