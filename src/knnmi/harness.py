@@ -332,19 +332,38 @@ _ESTIMATES = [RECORD_COLUMNS.index(name) for name in _ESTIMATE_FIELDS]
 _HELD = {Status.OK.value: _ESTIMATES, Status.UNDEFINED_NMI.value: _ESTIMATES[:-1],
          Status.OVERFLOW.value: [], Status.DUPLICATE_POINTS.value: []}
 _STATUS = RECORD_COLUMNS.index("status")
+_BACKENDS = {backend.value for backend in Backend}
 
 
 def _record_fault(row):
     """(column index, reason) for the first field of a parsed records row that
     run_sweep never writes so: a nan or infinite number, empty outside the
-    Optional columns, an unknown status, or estimate fields that do not match
-    the status; else None."""
+    Optional columns, a key column outside the config's rules, an unknown
+    status, or estimate fields that do not match the status; else None."""
     for i, value in enumerate(row):
         if isinstance(value, float) and not np.isfinite(value):
             return i, f"not finite: {value!r}"
     for i in _REQUIRED:
         if row[i] is None:
             return i, "empty"
+    family, d, param_name, param, param_gen, repetition, backend = row[:_STATUS]  # columns 0-6
+    spec = FAMILIES.get(family)
+    if spec is None:
+        return 0, f"not a family: {family!r}"
+    try:
+        spec.check("param", param)
+    except ConfigurationError as exc:
+        return 3, str(exc)
+    drawn = spec.substitutes.get(param, param)
+    # d and repetition parse as int, so _dim's rule and derive_seed's are their bounds
+    keys = ((1, d < 1 and f"d must be an integer >= 1, got {d}"),
+            (2, param_name != spec.param and f"{param_name!r}, but the {family} parameter is {spec.param!r}"),
+            (4, param_gen != drawn and f"{param_gen!r}, but data at param {param!r} are drawn at {drawn!r}"),
+            (5, repetition < 0 and f"repetition must be an integer >= 0, got {repetition}"),
+            (6, backend not in _BACKENDS and f"not a backend: {backend!r}"))
+    for i, reason in keys:
+        if reason:
+            return i, reason
     held = _HELD.get(row[_STATUS])
     if held is None:
         return _STATUS, f"not a status: {row[_STATUS]!r}"

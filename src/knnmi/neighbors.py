@@ -38,28 +38,27 @@ self out. A row is accepted once the nearest row outside its window on each
 side has |x_p - x_q| >= epsilon: fl(x_q - x_p) is monotone in sorted order,
 so every row outside is at least that far in the joint max-norm and the
 k-th smallest is exact. Which of two tied rows a window holds is then of no
-account, so the sort need not be stable. A row the first pass leaves
-unresolved has a window k-th distance that bounds its epsilon from above;
-where its window of the same width in y-sorted order already has a gap of
-at least that bound, the row moves to y order, where the same test holds
-with the coordinates' roles exchanged (max is commutative): a row in a
-sparse stretch of x, such as a tail, often lies in a dense stretch of y.
-Rows then fail and are retried in their order with a window _WINDOW_GROWTH
-times wider, and a window of all N rows always passes; each pass shares its
-rows out in chunks (`_window_pass`). The counts come from each coordinate's
-sorted order with the subtraction predicate |v_q - v_p| < epsilon, whose
-hits are a contiguous run around p; n_x and n_y run at the same time, one
-coordinate per thread, through the same hand-out. The addition form
-v_q < v_p + epsilon rounds differently and miscounts on decimal data, so it
-only seeds each edge of the run: the keys v_p -+ epsilon are searched in
-their own sorted order, which is faster than in row order. An edge whose
-seed the subtraction predicate rejects is found by one probe of the seed's
-neighbour, then by bisection of the sorted positions on that side, so a far
-outlier, whose seeds land mid-sample, costs about log2 N steps, not N
-(`_count_within`). This is the simplest form of the box-assisted search
-of Kraskov, Stoegbauer and Grassberger (PRE 69, 066138, 2004). On Gaussian
-data at N = 10000 a row's k-th neighbour lies among a few hundred sorted
-rows, not N.
+account, so the sort need not be stable. Every row the first pass leaves is
+retried in y order, where the same test holds with the coordinates' roles
+exchanged (max is commutative): a row in a sparse stretch of x, such as a
+tail, often lies in a dense stretch of y. Its y window starts at the first
+width and grows _WINDOW_GROWTH times per pass until the row settles, and a
+window of all N rows always settles it. A row not settled yet holds NaN,
+which no radius can be: a max of absolute differences of finite data is
+finite, 0 or inf. Each pass shares its rows out in chunks (`_window_pass`).
+The counts come from each coordinate's sorted order with the subtraction
+predicate |v_q - v_p| < epsilon, whose hits are a contiguous run around p;
+n_x and n_y run at the same time, one coordinate per thread, through the
+same hand-out. The addition form v_q < v_p + epsilon rounds differently and
+miscounts on decimal data, so it only seeds each edge of the run: the keys
+v_p -+ epsilon are searched in their own sorted order, which is faster than
+in row order. An edge whose seed the subtraction predicate rejects is found
+by one probe of the seed's neighbour, then by bisection of the sorted
+positions on that side, so a far outlier, whose seeds land mid-sample,
+costs about log2 N steps, not N (`_count_within`). This is the simplest
+form of the box-assisted search of Kraskov, Stoegbauer and Grassberger
+(PRE 69, 066138, 2004). On Gaussian data at N = 10000 a row's k-th
+neighbour lies among a few hundred sorted rows, not N.
 
 Brute force scans all ordered pairs, self included, so like the sorted
 window it reads epsilon at partition index k: samples are transposed to
@@ -222,21 +221,13 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
     # since a run of tied keys keeps windows from being accepted
     a = int(np.count_nonzero(np.diff(planes[1][0])) > np.count_nonzero(np.diff(planes[0][0])))
     b = 1 - a
-    eps = np.empty(n)
+    eps = np.full(n, np.nan)  # NaN until a row settles: no radius is NaN
     width = min(n, max(int(_FIRST_WINDOW * math.sqrt(k * n)), k + 1))
-    todo, e = _window_pass(planes[a], orders[a], np.arange(n), k, width, eps)
-    # e bounds each unresolved row's epsilon from above: a row moves to the
-    # other order where its window of the same width already spans e
-    rank = np.empty_like(orders[b])
-    rank[orders[b]] = np.arange(n)  # row i sits at position rank[i] in order b
-    moved = rank[orders[a][todo]]
-    move = _window_gaps(planes[b][0], moved, width)[1] >= e
-    retries = (b, np.sort(moved[move]), width), (a, todo[~move], _WINDOW_GROWTH * width)
-    for side, pending, w in retries:
-        while pending.size:
-            w = min(n, w)
-            pending = _window_pass(planes[side], orders[side], pending, k, w, eps)[0]
-            w *= _WINDOW_GROWTH
+    _window_pass(planes[a], orders[a], np.arange(n), k, width, eps)
+    # every row left is retried in the other order, its window growing until it settles
+    while (todo := np.flatnonzero(np.isnan(eps[orders[b]]))).size:
+        _window_pass(planes[b], orders[b], todo, k, width, eps)
+        width = min(n, _WINDOW_GROWTH * width)
 
     counts = np.empty((2, n), dtype=np.int64)  # n_x and n_y, one coordinate per thread
 
@@ -247,29 +238,19 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
     return eps, counts[0], counts[1]
 
 
-def _window_gaps(lead: np.ndarray, rows: np.ndarray, width: int):
-    """(start, gap) of each row's window of width positions in sorted lead.
-
-    gap is the smaller |lead[row] - lead[j]| of the nearest positions j just
-    outside the window, inf past either end of the sample.
-    """
-    n = lead.shape[0]
-    padded = np.concatenate([[-np.inf], lead, [np.inf]])  # padded[j] is lead[j - 1]
-    lo = np.minimum(np.maximum(rows - width // 2, 0), n - width)
-    query = lead[rows]
-    return lo, np.minimum(np.abs(query - padded[lo]), np.abs(query - padded[lo + width + 1]))
-
-
 def _window_pass(planes: np.ndarray, order: np.ndarray, todo: np.ndarray, k: int, width: int,
-                 eps: np.ndarray):
+                 eps: np.ndarray) -> None:
     """Settle the rows of todo whose window of width sorted neighbours holds their epsilon.
 
     planes[0] is sorted, and order maps its positions to sample rows; todo
     holds ascending positions. A settled row's epsilon goes to
-    eps[order[position]]. Returns the positions left and the k-th distance
-    of each one's window.
+    eps[order[position]]; the other rows' entries are left as they are.
     """
-    lo, gap = _window_gaps(planes[0], todo, width)
+    lead, n = planes[0], planes.shape[1]
+    padded = np.concatenate([[-np.inf], lead, [np.inf]])  # padded[j] is lead[j - 1]
+    lo = np.minimum(np.maximum(todo - width // 2, 0), n - width)
+    # distance to the nearer of the positions just outside each window, inf past an end
+    gap = np.minimum(*np.abs(lead[todo] - padded[[lo, lo + width + 1]]))
     windows = sliding_window_view(planes, width, axis=1)
     # split per scan, not per thread as in brute force: a per-thread budget
     # raised peak RSS by 2.4 MiB at N = 10000, D = 2
@@ -299,7 +280,6 @@ def _window_pass(planes: np.ndarray, order: np.ndarray, todo: np.ndarray, k: int
     _share_out(scan_chunk, range(0, todo.size, rows), lambda: np.empty((2, min(rows, todo.size), width)))
     done = gap >= kth
     eps[order[todo[done]]] = kth[done]
-    return todo[~done], kth[~done]
 
 
 def _count_within(sorted_values: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -326,6 +326,14 @@ def test_summarize_refuses_a_number_that_is_not_finite(tmp_path, capsys, column,
     ("d", "", "empty"),
     ("dataset_checksum", "", "empty"),
     ("h_x", "", "empty, but status is ok"),
+    ("d", "-3", "d must be an integer >= 1, got -3"),
+    ("repetition", "-1", "repetition must be an integer >= 0, got -1"),
+    ("backend", "foo", "not a backend: 'foo'"),
+    ("backend", "Proposed", "not a backend: 'Proposed'"),
+    ("family", "cauchy", "not a family: 'cauchy'"),
+    ("param_name", "nu", "'nu', but the gaussian parameter is 'rho'"),
+    ("param", "7.5", "param must be a real number in [0, 1], got 7.5"),
+    ("param_gen", "0.25", "0.25, but data at param 0.5 are drawn at 0.5"),
 ])
 def test_summarize_refuses_rows_the_sweep_never_writes(tmp_path, capsys, column, value, reason):
     path = _records_csv(tmp_path)

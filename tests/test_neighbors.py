@@ -558,25 +558,27 @@ def test_sorted_window_scan_sorts_by_the_more_distinct_coordinate(monkeypatch):
 
 def test_sorted_window_scan_retries_rows_in_y_order(monkeypatch):
     # Gaussian pairs at N = 1000: sorted by x, a few rows' first windows miss
-    # their radius; where a window as wide in y-sorted order already spans the
-    # x window's k-th distance, the row moves there and a y-order pass settles it
+    # their radius; every one of them goes to y-sorted order, where its window
+    # grows until a pass settles it. An unsettled row's radius is NaN
     passes = []
     window_pass = neighbors._window_pass
 
     def spy(planes, order, todo, k, width, eps):
-        left = window_pass(planes, order, todo, k, width, eps)
-        passes.append((planes[0].copy(), todo.size, left[0].size))
-        return left
+        result = window_pass(planes, order, todo, k, width, eps)
+        passes.append((planes[0].copy(), order[todo], np.flatnonzero(np.isnan(eps))))
+        return result
 
     monkeypatch.setattr(neighbors, "_window_pass", spy)
     rng = np.random.default_rng(47)
     data = Dataset(rng.normal(size=(1000, 1)), rng.normal(size=(1000, 1)))
     assert_matches_oracle(compute_knn_radii(data, 3), data, 3)
     sorted_x, sorted_y = np.sort(data.x[:, 0]), np.sort(data.y[:, 0])
-    assert np.array_equal(passes[0][0], sorted_x) and passes[0][1] == 1000
-    y_settled = sum(todo - left for lead, todo, left in passes if np.array_equal(lead, sorted_y))
-    assert y_settled > 0
-    assert sum(todo - left for _, todo, left in passes) == 1000
+    assert np.array_equal(passes[0][0], sorted_x) and passes[0][1].size == 1000
+    assert all(np.array_equal(lead, sorted_y) for lead, _, _ in passes[1:])
+    assert np.array_equal(np.sort(passes[1][1]), passes[0][2])
+    settled = [rows.size - left.size for _, rows, left in passes]
+    assert sum(settled[1:]) > 0
+    assert sum(settled) == 1000
 
 
 def count_within_cases():
