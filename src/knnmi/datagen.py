@@ -85,7 +85,7 @@ class StudentTSpec:
         positive_real("nu", self.nu)
 
 
-def _generator(seed: int) -> np.random.Generator:
+def _generator(seed: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -58,8 +58,11 @@ def real(name: str, value, low, high) -> float:
 
 
 def positive_real(name: str, value) -> float:
-    """value as a float: one real number (real), positive and finite (positive)."""
-    return float(positive(name, real(name, value, 0, math.inf)))
+    """value as a float: one real number (real), positive and finite, checked in Python."""
+    number = real(name, value, 0, math.inf)
+    if not 0.0 < number < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {number!r}")
+    return number
 
 
 class DuplicatePointError(ConfigurationError):

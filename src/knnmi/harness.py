@@ -22,6 +22,7 @@ raw records can be re-analyzed without re-running the O(N^2) estimation.
 
 import hashlib
 import json
+import math
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field, fields
@@ -341,7 +342,7 @@ def _record_fault(row):
     Optional columns, a key column outside the config's rules, an unknown
     status, or estimate fields that do not match the status; else None."""
     for i, value in enumerate(row):
-        if isinstance(value, float) and not np.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             return i, f"not finite: {value!r}"
     for i in _REQUIRED:
         if row[i] is None:

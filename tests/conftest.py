@@ -3,12 +3,24 @@ per session and consumed by both the acceptance gate and the harness
 truth-tracking test."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from knnmi.harness import ExperimentConfig, run_sweep, summarize
 from knnmi.truth import gaussian_truth
+
+# hypothesis's report hook imports this module (and libcst) when a property
+# test fails; libcst's import raises a DeprecationWarning, which -W error turns
+# into an INTERNALERROR that ends the run. Imported once here, with only that
+# import's DeprecationWarnings ignored, so the hook finds it loaded.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 LOW_D_BASE_SEED = 20240930
 

@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -276,11 +277,11 @@ def test_estimate_bad_cell_is_named(tmp_path, capsys):
         assert f"row {row}, column 2 (y_1): not a number: 'abc'" in err and str(path) in err
 
 
-def _records_csv(tmp_path):
+def _records_csv(tmp_path, family="gaussian"):
+    grid = {"gaussian": {"rho_grid": [0.5]}, "student_t": {"nu_grid": [1.0]}}[family]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "gaussian", "base_seed": 1, "dims": [1],
-                               "rho_grid": [0.5], "n": 20, "k": 2, "repetitions": 1,
-                               "backends": ["proposed"]}))
+    cfg.write_text(json.dumps({"family": family, "base_seed": 1, "dims": [1], **grid,
+                               "n": 20, "k": 2, "repetitions": 1, "backends": ["proposed"]}))
     path = tmp_path / "records.csv"
     assert run_cli("sweep", "--config", str(cfg), "--out", str(path)) == 0
     return path
@@ -345,6 +346,20 @@ def test_summarize_refuses_rows_the_sweep_never_writes(tmp_path, capsys, column,
     assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: row 2, column {RECORD_COLUMNS.index(column) + 1} ({column}): {reason}\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_summarize_refuses_a_student_t_row_at_nu_zero(tmp_path, capsys):
+    # 0.0 is a real number in [0, inf], but nu's rule (positive_real) wants it positive
+    path = _records_csv(tmp_path, "student_t")
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[RECORD_COLUMNS.index("param")] = "0.0"
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    capsys.readouterr()
+    assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: row 2, column 4 (param): param must be positive and finite, got 0.0\n")
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -435,6 +450,32 @@ def test_internal_value_error_exit_code(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("estimate", "--data", str(path), "--k", "2") == 3
     assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+
+NUMPY_RANDOM_PROBE = """
+import sys
+import knnmi
+import knnmi.cli
+loaded = ["numpy.random" in sys.modules]
+assert knnmi.cli.main(["estimate", "--data", sys.argv[1]]) == 0
+loaded.append("numpy.random" in sys.modules)
+knnmi.generate_gaussian(knnmi.GaussianSpec(d=1, rho=0.5, n=10, seed=1))
+loaded.append("numpy.random" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_generation_loads_numpy_random(tmp_path):
+    # numpy.random costs about 11 ms and 2.4 MiB to import, and only the
+    # generators draw from it; a fresh process, since this one has loaded it
+    data = tmp_path / "data.csv"
+    assert run_cli("gen", "--family", "gaussian", "--d", "1", "--rho", "0.5",
+                   "--n", "40", "--seed", "7", "--out", str(data)) == 0
+    package_root = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, str(data)], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert done.stdout.splitlines()[-1] == "[False, False, True]"
 
 
 def test_console_entry_point(tmp_path):

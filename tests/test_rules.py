@@ -4,8 +4,9 @@ errors.integer: a Python or numpy integer, never a bool, >= a lower bound
 where one applies. errors.positive: real numbers, never bools, every entry
 positive and finite. errors.real: one Python or numpy real number, never a
 bool, in a closed interval, that float() converts. errors.positive_real:
-one such number, positive and finite (nu). Every call site refuses a bad
-value with a ConfigurationError whose message starts with the argument's name.
+one such number, positive and finite (nu), checked in Python. Every call
+site refuses a bad value with a ConfigurationError whose message starts
+with the argument's name.
 """
 
 import math
@@ -142,10 +143,11 @@ def test_nu_sites_take_one_real_number(site, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("bad", [0, math.inf])
+@pytest.mark.parametrize("bad", [0, math.inf, -0.0, np.int64(0), np.float64(0.0), np.float32(np.inf)])
 def test_nu_out_of_range_reads_positive_and_finite(bad):
+    # the message shows the number real returned, so -0.0 reads as 0.0
     for call in (lambda: StudentTSpec(d=1, nu=bad, n=10, seed=1), lambda: student_t_truth(1, bad)):
-        with pytest.raises(ConfigurationError, match=f"^nu must be positive and finite, got {float(bad)!r}$"):
+        with pytest.raises(ConfigurationError, match=f"^nu must be positive and finite, got {float(bad) + 0.0!r}$"):
             call()
 
 
