@@ -1,5 +1,6 @@
 """CLI subcommands, output formats, and exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -321,23 +322,28 @@ def test_summarize_refuses_a_number_that_is_not_finite(tmp_path, capsys, column,
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("column, value, reason", [
-    ("nmi", "", "empty, but status is ok"),
-    ("status", "okay", "not a status: 'okay'"),
-    ("d", "", "empty"),
-    ("dataset_checksum", "", "empty"),
-    ("h_x", "", "empty, but status is ok"),
-    ("d", "-3", "d must be an integer >= 1, got -3"),
-    ("repetition", "-1", "repetition must be an integer >= 0, got -1"),
-    ("backend", "foo", "not a backend: 'foo'"),
-    ("backend", "Proposed", "not a backend: 'Proposed'"),
-    ("family", "cauchy", "not a family: 'cauchy'"),
-    ("param_name", "nu", "'nu', but the gaussian parameter is 'rho'"),
-    ("param", "7.5", "param must be a real number in [0, 1], got 7.5"),
-    ("param_gen", "0.25", "0.25, but data at param 0.5 are drawn at 0.5"),
-])
-def test_summarize_refuses_rows_the_sweep_never_writes(tmp_path, capsys, column, value, reason):
-    path = _records_csv(tmp_path)
+ROW_FAULTS = [
+    ("nmi", "", "empty, but status is ok", "gaussian"),
+    ("status", "okay", "not a status: 'okay'", "gaussian"),
+    ("d", "", "empty", "gaussian"),
+    ("dataset_checksum", "", "empty", "gaussian"),
+    ("h_x", "", "empty, but status is ok", "gaussian"),
+    ("d", "-3", "d must be an integer >= 1, got -3", "gaussian"),
+    ("repetition", "-1", "repetition must be an integer >= 0, got -1", "gaussian"),
+    ("backend", "foo", "not a backend: 'foo'", "gaussian"),
+    ("backend", "Proposed", "not a backend: 'Proposed'", "gaussian"),
+    ("family", "cauchy", "not a family: 'cauchy'", "gaussian"),
+    ("param_name", "nu", "'nu', but the gaussian parameter is 'rho'", "gaussian"),
+    ("param", "7.5", "param must be a real number in [0, 1], got 7.5", "gaussian"),
+    ("param_gen", "0.25", "0.25, but data at param 0.5 are drawn at 0.5", "gaussian"),
+    ("param", "0.0", "param must be positive and finite, got 0.0", "student_t"),
+]
+
+
+@pytest.mark.parametrize("column, value, reason, family", ROW_FAULTS,
+                         ids=["-".join(fault[:3]) for fault in ROW_FAULTS])
+def test_summarize_refuses_rows_the_sweep_never_writes(tmp_path, capsys, column, value, reason, family):
+    path = _records_csv(tmp_path, family)
     header, row = path.read_text().splitlines()
     cells = row.split(",")
     cells[RECORD_COLUMNS.index(column)] = value
@@ -346,20 +352,6 @@ def test_summarize_refuses_rows_the_sweep_never_writes(tmp_path, capsys, column,
     assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: row 2, column {RECORD_COLUMNS.index(column) + 1} ({column}): {reason}\n")
-    assert not (tmp_path / "s.csv").exists()
-
-
-def test_summarize_refuses_a_student_t_row_at_nu_zero(tmp_path, capsys):
-    # 0.0 is a real number in [0, inf], but nu's rule (positive_real) wants it positive
-    path = _records_csv(tmp_path, "student_t")
-    header, row = path.read_text().splitlines()
-    cells = row.split(",")
-    cells[RECORD_COLUMNS.index("param")] = "0.0"
-    path.write_text(f"{header}\n{','.join(cells)}\n")
-    capsys.readouterr()
-    assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
-    assert capsys.readouterr().err == (
-        f"error: {path}: row 2, column 4 (param): param must be positive and finite, got 0.0\n")
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -454,9 +446,11 @@ def test_internal_value_error_exit_code(monkeypatch, tmp_path, capsys):
 
 NUMPY_RANDOM_PROBE = """
 import sys
+import numpy
+loaded = ["numpy.random" in sys.modules]
 import knnmi
 import knnmi.cli
-loaded = ["numpy.random" in sys.modules]
+loaded.append("numpy.random" in sys.modules)
 assert knnmi.cli.main(["estimate", "--data", sys.argv[1]]) == 0
 loaded.append("numpy.random" in sys.modules)
 knnmi.generate_gaussian(knnmi.GaussianSpec(d=1, rho=0.5, n=10, seed=1))
@@ -467,7 +461,9 @@ print(loaded)
 
 def test_only_generation_loads_numpy_random(tmp_path):
     # numpy.random costs about 11 ms and 2.4 MiB to import, and only the
-    # generators draw from it; a fresh process, since this one has loaded it
+    # generators draw from it; a fresh process, since this one has loaded it.
+    # numpy before 2.0 imports numpy.random itself, so knnmi is held only to
+    # what numpy alone loads
     data = tmp_path / "data.csv"
     assert run_cli("gen", "--family", "gaussian", "--d", "1", "--rho", "0.5",
                    "--n", "40", "--seed", "7", "--out", str(data)) == 0
@@ -475,7 +471,8 @@ def test_only_generation_loads_numpy_random(tmp_path):
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, str(data)], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert done.stdout.splitlines()[-1] == "[False, False, True]"
+    numpy_alone, *loaded = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert loaded == [numpy_alone, numpy_alone, True]
 
 
 def test_console_entry_point(tmp_path):
