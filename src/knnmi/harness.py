@@ -78,8 +78,8 @@ def _dim(d) -> int:
 
 def _entries(name: str, values, parse, kind: str) -> list:
     """[parse(v) for v in values] for a non-empty list with no entry repeated
-    after parsing: a repeated cell would rerun on the same seeds, and summarize
-    would count the copies as more repetitions."""
+    after parsing: a repeated cell would rerun on the same seeds and write
+    rows that summarize refuses as repeats."""
     if not isinstance(values, list) or not values:
         raise ConfigurationError(f"{name} must be a non-empty list of {kind}, got {values!r}")
     parsed, seen = [parse(v) for v in values], set()
@@ -333,6 +333,7 @@ _ESTIMATES = [RECORD_COLUMNS.index(name) for name in _ESTIMATE_FIELDS]
 _HELD = {Status.OK.value: _ESTIMATES, Status.UNDEFINED_NMI.value: _ESTIMATES[:-1],
          Status.OVERFLOW.value: [], Status.DUPLICATE_POINTS.value: []}
 _STATUS = RECORD_COLUMNS.index("status")
+_CHECKSUM = RECORD_COLUMNS.index("dataset_checksum")
 _BACKENDS = {backend.value for backend in Backend}
 
 
@@ -375,9 +376,28 @@ def _record_fault(row):
 
 
 def read_records_csv(path) -> list:
-    """Parse a records CSV back into RunRecord objects ('' becomes None); a row
-    that run_sweep never writes (see _record_fault) raises ConfigurationError."""
-    names, rows = read_csv(path, _RECORD_CASTS, _record_fault)
+    """Parse a records CSV back into RunRecord objects ('' becomes None). A row
+    that run_sweep never writes (see _record_fault), that repeats an earlier
+    row's (family, d, param, repetition, backend), or whose dataset_checksum
+    differs from an earlier row's of its repetition raises ConfigurationError:
+    summarize would count a repeated row as one more repetition, and the
+    backends of a repetition estimate one dataset."""
+    repetitions = {}  # (family, d, param, repetition) -> (dataset_checksum, backends read)
+
+    def check(row):
+        fault = _record_fault(row)
+        if fault is not None:
+            return fault
+        family, d, _, param, _, repetition, backend = row[:_STATUS]  # columns 0-6
+        checksum, backends = repetitions.setdefault((family, d, param, repetition), (row[_CHECKSUM], set()))
+        if backend in backends:
+            return 6, "repeats an earlier row's family, d, param, repetition and backend"
+        if row[_CHECKSUM] != checksum:
+            return _CHECKSUM, f"{row[_CHECKSUM]!r}, but an earlier row of its repetition has {checksum!r}"
+        backends.add(backend)
+        return None
+
+    names, rows = read_csv(path, _RECORD_CASTS, check)
     if names != RECORD_COLUMNS:
         raise ConfigurationError(f"{path}: unexpected record columns {names}")
     return [RunRecord(*row) for row in rows]

@@ -14,89 +14,12 @@ point, the KSG "algorithm 1" convention. Consequences worth remembering:
   compares correctly against a finite epsilon; an epsilon that itself
   overflows is a hard error.
 
-Three exact scans give bit-identical radii and counts, and the shape picks
-one: the pair-once scan at any D while n * n <= _SCRATCH_ELEMS (n <= 256),
-the sorted window at d_x = d_y = 1 (D = 2) above that, and brute force
-elsewhere. The sorted window and brute force share their work out in
-chunks to one thread per CPU in the process's affinity mask (numpy releases
-the GIL inside each array operation); the calling thread is one of them, so
-a single chunk starts no thread. Threads take chunks in order from one
-hand-out (`_share_out`), each with its own scratch, and write disjoint rows
-of the result; brute force ends the hand-out after a block with a zero or
-infinite radius, since the scan then fails anyway. Every reduction
-(max, partition, integer count) is order-independent, so results are
-bit-identical for any chunk size and thread count.
-
-At d_x = d_y = 1 (D = 2) the rows are sorted once by each coordinate
-(numpy's default argsort), and the first pass runs in the order of the one
-with more distinct values, called x here (x itself on a tie; a run of tied
-keys holds windows open). Each row's epsilon is the k-th smallest of
-max(|x_p - x_q|, |y_p - y_q|) over a window of sorted neighbours, with the
-same float operations as brute force. The window holds the row itself at
-distance 0, so epsilon is read at partition index k, with no write to mask
-self out. A row is accepted once the nearest row outside its window on each
-side has |x_p - x_q| >= epsilon: fl(x_q - x_p) is monotone in sorted order,
-so every row outside is at least that far in the joint max-norm and the
-k-th smallest is exact. Which of two tied rows a window holds is then of no
-account, so the sort need not be stable. Every row the first pass leaves is
-retried in y order, where the same test holds with the coordinates' roles
-exchanged (max is commutative): a row in a sparse stretch of x, such as a
-tail, often lies in a dense stretch of y. Its y window starts at the first
-width and grows _WINDOW_GROWTH times per pass until the row settles, and a
-window of all N rows always settles it. A row not settled yet holds NaN,
-which no radius can be: a max of absolute differences of finite data is
-finite, 0 or inf. Each pass shares its rows out in chunks (`_window_pass`).
-The counts come from each coordinate's sorted order with the subtraction
-predicate |v_q - v_p| < epsilon, whose hits are a contiguous run around p;
-n_x and n_y run at the same time, one coordinate per thread, through the
-same hand-out. The addition form v_q < v_p + epsilon rounds differently and
-miscounts on decimal data, so it only seeds each edge of the run: the keys
-v_p -+ epsilon are searched in their own sorted order, which is faster than
-in row order. An edge whose seed the subtraction predicate rejects is found
-by one probe of the seed's neighbour, then by bisection of the sorted
-positions on that side, so a far outlier, whose seeds land mid-sample,
-costs about log2 N steps, not N (`_count_within`). This is the simplest
-form of the box-assisted search of Kraskov, Stoegbauer and Grassberger
-(PRE 69, 066138, 2004). On Gaussian data at N = 10000 a row's k-th
-neighbour lies among a few hundred sorted rows, not N.
-
-Brute force scans all ordered pairs, self included, so like the sorted
-window it reads epsilon at partition index k: samples are transposed to
-feature-major layout once, then each feature's |a_i - a_j| plane is folded
-into a running max (`_fold_max`, the pair-once scan's fold too), blocked
-over query rows (reducing over a short last axis would hit numpy's slow
-strided path). A block's four float planes and one bool plane are sized to
-stay in a core's L2 cache: every ufunc pass re-reads them, and planes that
-spill to memory made the scan two to three times slower on a 2-vCPU Xeon
-with 4 MiB of L2 per core.
-
-The pair-once scan computes each unordered pair once, in circular order:
-for offsets t = 1..n // 2, row t - 1 of a marginal's plane holds
-max_f |a_f[i] - a_f[(i + t) % n]| for every sample i, read from one sliding
-window over the wrapped features. Sample i's distances at the other
-n - 1 - n // 2 offsets are the distances at offset n - t of sample
-(i + t) % n; fl(a - b) = -fl(b - a), so they are the same numbers brute
-force computes from the other end, and they are copied in through a skewed
-view of the same rows. Column i of the (n - 1, n) plane then holds sample
-i's distance to every other sample, self excluded; the joint plane is the
-max of the marginal planes and is partitioned down its columns, and the
-marginal counts are sums down the columns. Each feature costs one
-subtract, abs and max over n // 2 rows where brute force needs n, so at
-N = 200, k = 5 the scan takes 0.6 of brute force's time at
-d_x = d_y = 64 and 0.9 at d_x = d_y = 2, where the partition and the
-compares it shares with brute force dominate. At d_x = d_y = 1 it beats
-the sorted window too: 0.30 ms against 0.52 ms per N = 200, k = 5 scan on
-40 Gaussian and Student-t samples (2-vCPU Xeon). It starts no thread.
-
-The pair-once scan carves its planes from one byte buffer per thread, kept
-between calls (`_carve`): each plane starts on a 64-byte boundary, and the
-partition's planes are carved in a second call over the marginal loop's,
-which are dead by then. The buffer is bounded by the largest small-sample
-scan its thread has run: about 1.6 MiB at n = 256, plus the D x 1.5n
-feature array. It is scratch, not a cache: no value passes from one call to
-the next, and the arrays returned are fresh. Brute force and the sorted
-window allocate their planes per call; their scans run 30 ms to 8 s, and
-kept planes would pin up to 8 * N doubles each.
+Three exact scans give the same radii and counts; the shape picks one: pair
+once at any D while n * n <= _SCRATCH_ELEMS (n <= 256), the sorted window at
+d_x = d_y = 1 (D = 2) above that, brute force elsewhere. All take each
+distance with the same float operations, every reduction (max, partition,
+integer count) is order-independent and threads (`_share_out`) write
+disjoint rows: results are bit-identical for any scan, chunk and thread count.
 """
 
 import math
@@ -111,14 +34,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dataset import Dataset
 from .errors import ConfigurationError, DuplicatePointError, RadiusOverflowError, integer
 
-# doubles per scratch plane (512 KiB). Brute force: per thread, so one
-# thread's four float planes and one bool plane fit in 4 MiB of L2; fastest
-# of 2**15..2**18 measured at (N, d) = (10000, 1), (10000, 8), (1000, 512).
-# Sorted window: per scan, split evenly over the threads, so that threading
-# holds no more memory than one thread did. Pair once: taken at any D when a
-# whole (n, n) plane fits (n * n <= _SCRATCH_ELEMS, so n <= 256), so that its
-# (n - 1, n) planes are no larger than brute force's one block. Output is the
-# same for any value
+# doubles per scratch plane (512 KiB); output is the same for any value.
+# Brute force: per thread, so one thread's four float planes and one bool
+# plane fit in 4 MiB of L2. At d_x = d_y = d, 2**16 gave 2**15's 8-row blocks
+# at (N, d) = (10000, 8), was the fastest of 2**15..2**18 on two threads at
+# (1000, 512), and 2**22 made (10000, 8) 2.5 times slower; that measurement's
+# (10000, 1) ran brute force at D = 2, now the sorted window's. Sorted window:
+# one budget per scan, split over its threads (a per-thread one raised peak
+# RSS by 2.4 MiB at N = 10000, D = 2); not tuned there. Pair once: taken
+# while n * n <= _SCRATCH_ELEMS (n <= 256), so its (n - 1, n) planes are no
+# larger than brute force's one block; measured at N = 200 only
 _SCRATCH_ELEMS = 2**16
 
 # sorted-window scan: the first window spans _FIRST_WINDOW * sqrt(k N) rows
@@ -128,11 +53,10 @@ _SCRATCH_ELEMS = 2**16
 _FIRST_WINDOW = 1.5
 _WINDOW_GROWTH = 4
 
-# pair-once scratch: each thread keeps one byte buffer between calls (_carve).
-# Freed planes of about a MiB went back to the OS, and faulting them in again
-# took over half of a d = 2 scan at N = 200; a subtract into an output on a
-# 64-byte boundary ran 1.3 times as fast as into the 16-byte-aligned blocks
-# that malloc gives large arrays (N = 200 plane, AVX-512 Xeon)
+# pair-once scratch (_carve) is kept, since freed planes of about a MiB went
+# back to the OS, and faulting them in again took over half of a d = 2 scan
+# at N = 200; a subtract into a 64-byte-aligned output ran 1.3 times as fast
+# as into malloc's 16-byte-aligned blocks (N = 200 plane, AVX-512 Xeon)
 _ALIGN = 64
 _scratch = threading.local()
 
@@ -210,7 +134,21 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
 
 
 def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
-    """(epsilon, n_x, n_y) at d_x = d_y = 1 from windows of sorted neighbours."""
+    """(epsilon, n_x, n_y) at d_x = d_y = 1 from windows of sorted neighbours.
+
+    The rows are sorted once by each coordinate (numpy's default argsort). A
+    row's epsilon is the k-th smallest joint distance over a window of its
+    sorted neighbours, exact once the nearest row outside the window on each
+    side is epsilon or more away in the sorting coordinate: fl(x_q - x_p) is
+    monotone in sorted order, so no row outside is nearer in the max-norm,
+    whichever of two tied rows the window holds (the sort need not be
+    stable). Rows the first pass leaves are retried in the other order,
+    where the same test holds: a row in a sparse stretch of one coordinate,
+    such as a tail, often lies in a dense stretch of the other. Its window
+    grows until it settles, as a window of all N rows, with no row outside,
+    always does. This is the simplest form of the box-assisted search of
+    Kraskov, Stoegbauer and Grassberger (PRE 69, 066138, 2004).
+    """
     n = x.shape[0]
     coords = x[:, 0], y[:, 0]
     # orders[a] sorts coordinate a; planes[a] holds it and the other
@@ -221,10 +159,11 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
     # since a run of tied keys keeps windows from being accepted
     a = int(np.count_nonzero(np.diff(planes[1][0])) > np.count_nonzero(np.diff(planes[0][0])))
     b = 1 - a
-    eps = np.full(n, np.nan)  # NaN until a row settles: no radius is NaN
+    # NaN until a row settles: a radius, a max of absolute differences of
+    # finite data, is finite or inf, never NaN
+    eps = np.full(n, np.nan)
     width = min(n, max(int(_FIRST_WINDOW * math.sqrt(k * n)), k + 1))
     _window_pass(planes[a], orders[a], np.arange(n), k, width, eps)
-    # every row left is retried in the other order, its window growing until it settles
     while (todo := np.flatnonzero(np.isnan(eps[orders[b]]))).size:
         _window_pass(planes[b], orders[b], todo, k, width, eps)
         width = min(n, _WINDOW_GROWTH * width)
@@ -252,8 +191,6 @@ def _window_pass(planes: np.ndarray, order: np.ndarray, todo: np.ndarray, k: int
     # distance to the nearer of the positions just outside each window, inf past an end
     gap = np.minimum(*np.abs(lead[todo] - padded[[lo, lo + width + 1]]))
     windows = sliding_window_view(planes, width, axis=1)
-    # split per scan, not per thread as in brute force: a per-thread budget
-    # raised peak RSS by 2.4 MiB at N = 10000, D = 2
     rows = max(1, _SCRATCH_ELEMS // (width * _cpu_count()))
     kth = np.empty(todo.size)  # each row's window k-th distance; chunks fill disjoint slices
 
@@ -262,8 +199,7 @@ def _window_pass(planes: np.ndarray, order: np.ndarray, todo: np.ndarray, k: int
         s = slice(start, start + rows)
         p, first = todo[s], lo[s]
         if first[-1] - first[0] == p[-1] - p[0] == p.size - 1:
-            # consecutive rows (todo is ascending): their windows are
-            # one strided view, read with no copy
+            # consecutive rows (todo is ascending): one strided view, no copy
             near, dist = windows[:, first[0] : first[-1] + 1], scratch[:, : p.size]
         else:
             near = dist = windows[:, first]  # a copy, overwritten below
@@ -272,8 +208,7 @@ def _window_pass(planes: np.ndarray, order: np.ndarray, todo: np.ndarray, k: int
         np.subtract(planes[:, p, None], near, out=dist)
         np.abs(dist, out=dist)
         joint = np.maximum(dist[0], dist[1], out=dist[0])
-        # every window holds its own row at distance 0, so the k-th
-        # neighbour's distance is the (k + 1)-th smallest
+        # the window holds its own row at distance 0, as in brute force
         joint.partition(k, axis=1)
         kth[s] = joint[:, k]
 
@@ -287,16 +222,14 @@ def _count_within(sorted_values: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
     fl(s_j - s_i) is nondecreasing in j, so the rows inside form the run
     [first j with s_j - s_i > -eps[i], first j with s_j - s_i >= eps[i]).
-    searchsorted of the keys s_i -+ eps[i], taken in sorted order, seeds
-    each edge; a seed is kept where the subtraction predicate fails just
-    before it and holds at it. Any other edge is searched with the same
-    predicate over the sorted values padded with -inf and inf, where it is
-    false at the first position and true at the last (also at eps = inf):
-    the failed check brackets the edge on the seed's side, one probe tries
-    the seed's neighbour (in Gaussian samples at N = 10000 every seed that
-    failed was one position off), and bisection halves what is left. A row
-    takes at most ceil(log2 n) + 1 steps however far its seed was: a far
-    outlier's seeds land mid-sample.
+    searchsorted of the keys s_i -+ eps[i] only seeds each edge: that
+    addition form rounds differently and miscounts on decimal data. A seed
+    stands where the predicate fails just before it and holds at it. Any
+    other edge is bracketed on the seed's side in the values padded with
+    -inf and inf (where the predicate fails first and holds last, also at
+    eps = inf); one probe tries the seed's neighbour (every failed seed in
+    Gaussian samples at N = 10000 was one off) and bisection the rest, in
+    ceil(log2 n) + 1 steps at most, as a far outlier's seeds land mid-sample.
     """
     n = sorted_values.shape[0]
     padded = np.concatenate([[-np.inf], sorted_values, [np.inf]])  # padded[j] is s_(j - 1)
@@ -324,7 +257,17 @@ def _count_within(sorted_values: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 
 def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
-    """(epsilon, n_x, n_y) from each unordered pair's distance, computed once."""
+    """(epsilon, n_x, n_y) from each unordered pair's distance, computed once.
+
+    Each marginal's distances are computed for offsets t = 1..n // 2 in
+    circular order and read back for the other end of each pair:
+    fl(a - b) = -fl(b - a), so they are the numbers brute force computes
+    there. A feature thus costs one subtract, abs and max over n // 2 rows,
+    not n: at N = 200, k = 5 the scan took 0.6 of brute force's time at
+    d_x = d_y = 64 and 0.9 at 2, where the partition and compares that both
+    pay dominate, and 0.30 against the sorted window's 0.52 ms at 1 (40
+    Gaussian and Student-t samples, 2-vCPU Xeon). It starts no thread.
+    """
     n = x.shape[0]
     half, rest = n // 2, n - 1 - n // 2  # offsets computed; offsets read back
     d_x, d_y = x.shape[1], y.shape[1]
@@ -338,10 +281,10 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
 
     # features[f, i] = a_f[i % n] for i < n + half, so that
     # windows[f, t - 1, i] = features[f, i + t] = a_f[(i + t) % n] for t = 1..half;
-    # built by the ndarray constructor, which checks the view against the
-    # buffer: sliding_window_view took 20 us per call, and 130 us under the
-    # benchmark's tracemalloc. Filled in place: a transposing copy of the
-    # wrapped joint array took 2.5 times as long at d_x = d_y = 64
+    # built by the ndarray constructor, which checks the view against the buffer:
+    # sliding_window_view took 20 us per call, and 130 us under the benchmark's
+    # tracemalloc. Filled in place: a transposing copy of the wrapped joint
+    # array took 2.5 times as long at d_x = d_y = 64
     features[:d_x, :n] = x.T
     features[d_x:, :n] = y.T
     features[:, n:] = features[:, :half]
@@ -359,8 +302,6 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     for m, features_m in enumerate((range(d_x), range(d_x, d_x + d_y))):
         top = dist[m, :half]
         _fold_max(top, plane, ((features[f, :n], windows[f]) for f in features_m))
-        # fl(a - b) = -fl(b - a), so the read-back distances are the ones that
-        # brute force computes from the other end of each pair
         wrapped[:, rest:] = top
         wrapped[:, :rest] = top[:, n - rest :]
         dist[m, half:] = skew
@@ -372,9 +313,8 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     dist_joint.partition(k - 1, axis=0)
     epsilon = dist_joint[k - 1].copy()
 
-    # a column holds n - 1 distances, so its count fits the smallest type that
-    # holds n - 1; summing bytes in it (uint8 up to n = 256) down the columns
-    # is about four times faster than count_nonzero there
+    # a column's count is at most n - 1, so it fits that type; summing bytes
+    # (uint8 up to n = 256) down the columns is about four times faster than count_nonzero
     tally = np.min_scalar_type(n - 1)
     counts = []
     for dist_m in dist:
@@ -390,8 +330,11 @@ def _carve(*layout):
     _ALIGN-byte boundary, so none overlaps another; arrays of two calls
     may overlap, and an array that leads both has the same place in each.
     The buffer is kept between calls and grows to the largest layout its
-    thread has asked for, dropping the old buffer before it allocates the
-    new one. The arrays hold whatever an earlier call left in them.
+    thread has asked for: about 1.6 MiB at the pair-once scan's n = 256,
+    plus its D x 1.5n features. The arrays hold whatever an earlier call
+    left, so callers write before they read. Brute force and the sorted
+    window allocate per call instead: their scans run 30 ms to 8 s, and kept
+    planes would pin up to 8 * N doubles each.
     """
     spans, size = [], 0
     for shape, dtype in layout:
@@ -425,7 +368,13 @@ def _fold_max(out: np.ndarray, plane: np.ndarray, pairs) -> None:
 
 
 def _brute_force_scan(x: np.ndarray, y: np.ndarray, k: int):
-    """(epsilon, n_x, n_y) over all pairs, blocked over query rows and threaded."""
+    """(epsilon, n_x, n_y) over all pairs, blocked over query rows and threaded.
+
+    The features are transposed once, so that each feature's |a_i - a_j|
+    plane is built from contiguous rows: reducing over a short last axis
+    takes numpy's slow strided path. A block with a zero or infinite radius
+    ends the hand-out, since the scan then fails anyway (compute_knn_radii).
+    """
     n = x.shape[0]
     epsilon, n_x, n_y = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     x_features, y_features = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
@@ -440,12 +389,11 @@ def _brute_force_scan(x: np.ndarray, y: np.ndarray, k: int):
             _fold_max(dist, plane, ((col[start:stop, None], col[None, :]) for col in features))
         np.maximum(dx, dy, out=dj)
 
-        # each row holds its own sample at distance 0, so the k-th neighbour's
-        # distance is the (k + 1)-th smallest, as in the sorted window
+        # each row keeps its own sample at distance 0, which spares a write to mask
+        # it out: the k-th neighbour is the (k + 1)-th smallest, and counts take 1 off
         dj.partition(k, axis=1)
         eps_block = dj[:, k]
 
-        # self sits at marginal distance 0 < eps and must not be counted
         np.less(dx, eps_block[:, None], out=inside)
         n_x[start:stop] = np.count_nonzero(inside, axis=1) - 1
         np.less(dy, eps_block[:, None], out=inside)
@@ -463,13 +411,14 @@ def _share_out(task, items, scratch) -> None:
     """Run task(item, kept) for each item in order, on one thread per CPU and no more than items.
 
     Each thread calls scratch() once, keeps what it returns, and pops items
-    from one shared deque. A task that returns True ends the hand-out; items
-    already taken still finish, so every item before it runs. The calling
-    thread is one of the threads; plain threads rather than a
-    ThreadPoolExecutor, whose import and extra thread raised peak RSS by
-    about 1 MiB at N = 10000. numpy's error state is per thread, so each
-    ignores float overflow (see compute_knn_radii). The first exception of
-    any thread ends the hand-out and is raised here.
+    from one shared deque (numpy releases the GIL inside each array
+    operation). A task that returns True ends the hand-out; items already
+    taken still finish, so every item before it runs. The calling thread is
+    one of the threads; plain threads rather than a ThreadPoolExecutor,
+    whose import and extra thread raised peak RSS by about 1 MiB at
+    N = 10000. numpy's error state is per thread, so each ignores float
+    overflow (see compute_knn_radii). The first exception of any thread
+    ends the hand-out and is raised here.
     """
     pending = deque(items)
     errors = []

@@ -278,11 +278,11 @@ def test_estimate_bad_cell_is_named(tmp_path, capsys):
         assert f"row {row}, column 2 (y_1): not a number: 'abc'" in err and str(path) in err
 
 
-def _records_csv(tmp_path, family="gaussian"):
+def _records_csv(tmp_path, family="gaussian", backends=("proposed",)):
     grid = {"gaussian": {"rho_grid": [0.5]}, "student_t": {"nu_grid": [1.0]}}[family]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": family, "base_seed": 1, "dims": [1], **grid,
-                               "n": 20, "k": 2, "repetitions": 1, "backends": ["proposed"]}))
+                               "n": 20, "k": 2, "repetitions": 1, "backends": list(backends)}))
     path = tmp_path / "records.csv"
     assert run_cli("sweep", "--config", str(cfg), "--out", str(path)) == 0
     return path
@@ -353,6 +353,46 @@ def test_summarize_refuses_rows_the_sweep_never_writes(tmp_path, capsys, column,
     assert capsys.readouterr().err == (
         f"error: {path}: row 2, column {RECORD_COLUMNS.index(column) + 1} ({column}): {reason}\n")
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("fault", ["repeated row", "unpaired checksum"])
+def test_summarize_refuses_rows_that_break_a_repetition(tmp_path, capsys, fault):
+    # a repeated row would count as one more repetition, and the backends of a
+    # repetition estimate one dataset
+    path = _records_csv(tmp_path, backends=["proposed", "dominant"])
+    header, first, second = path.read_text().splitlines()
+    column = RECORD_COLUMNS.index("dataset_checksum")
+    checksum, unpaired = first.split(",")[column], second.split(",")
+    unpaired[column] = "0000000000000000"
+    rows, row_no, name, reason = {
+        "repeated row": ([first, second, second], 4, "backend",
+                         "repeats an earlier row's family, d, param, repetition and backend"),
+        "unpaired checksum": ([first, ",".join(unpaired)], 3, "dataset_checksum",
+                              f"'0000000000000000', but an earlier row of its repetition has '{checksum}'"),
+    }[fault]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert run_cli("summarize", "--records", str(path), "--out", str(tmp_path / "s.csv")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: row {row_no}, column {RECORD_COLUMNS.index(name) + 1} ({name}): {reason}\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_summarize_reads_two_sweeps_with_disjoint_cells_joined(tmp_path):
+    parts = []
+    for rho in (0.5, 0.9):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "gaussian", "base_seed": 3, "dims": [1], "rho_grid": [rho],
+                                   "n": 40, "k": 3, "repetitions": 2, "backends": ["proposed", "dominant"]}))
+        records, summary = tmp_path / f"r{rho}.csv", tmp_path / f"s{rho}.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(records)) == 0
+        assert run_cli("summarize", "--records", str(records), "--out", str(summary)) == 0
+        parts.append((records.read_text().splitlines(), summary.read_text().splitlines()))
+    (records_a, summary_a), (records_b, summary_b) = parts
+    joined = tmp_path / "joined.csv"
+    joined.write_text("\n".join(records_a + records_b[1:]) + "\n")
+    assert run_cli("summarize", "--records", str(joined), "--out", str(tmp_path / "s.csv")) == 0
+    assert (tmp_path / "s.csv").read_text().splitlines() == summary_a + summary_b[1:]
 
 
 @pytest.mark.parametrize("status, held", [

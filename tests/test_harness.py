@@ -148,7 +148,7 @@ class TestConfig:
         (dict(backends=["dominant", "baseline", "Dominant"]), "backends lists 'Dominant' more than once"),
     ])
     def test_repeated_entries_refused(self, repeat, named):
-        # a repeated cell reruns the same seeds, and summarize would count the copies
+        # a repeated cell reruns the same seeds, and summarize refuses the copies
         with pytest.raises(ConfigurationError, match=f"^{named}$"):
             ExperimentConfig(**{"family": "gaussian", "base_seed": 1, **repeat})
 
