@@ -103,3 +103,6 @@ class RadiusOverflowError(ConfigurationError):
             f"sample {index}: max-norm coordinate differences overflowed float64 "
             f"(k-NN radius is inf)"
         )
+
+    def __reduce__(self):  # pickled from the index, not the message: a sweep's worker sends it
+        return type(self), (self.index,)

@@ -14,6 +14,10 @@ is recorded as a status, never aborting the sweep.
 
 Cell seeds are derived by hashing the cell coordinates (sha256), making
 every cell independently reproducible regardless of sweep order or subset.
+So where the scan starts no thread (N <= 256), the repetitions run on one
+forked process per CPU of the affinity mask, the caller among them, and the
+records are the same for any count; wall_time_ms is timed in the process
+that ran the repetition.
 
 Records are emitted one per (cell, repetition, backend) in deterministic
 cell order, as flat rows; aggregation is a separate pass (summarize) so
@@ -23,6 +27,9 @@ raw records can be re-analyzed without re-running the O(N^2) estimation.
 import hashlib
 import json
 import math
+import os
+import pickle
+import threading
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field, fields
@@ -32,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import neighbors
 from .datagen import GaussianSpec, StudentTSpec, check_sample_size, generate_gaussian, generate_student_t
 from .dataset import Dataset, dataset_checksum, read_csv, write_csv
 from .errors import ConfigurationError, DuplicatePointError, integer, positive_real, real
@@ -212,24 +220,39 @@ def derive_seed(base_seed: int, family: str, d: int, param: float, repetition: i
 _ESTIMATE_FIELDS = ("mi_ksg", "h_x", "h_y", "h_xy", "mi_from_entropies", "nmi")
 
 
+def _repetition(config: ExperimentConfig, family: Family, cell: tuple, rep: int) -> tuple:
+    """(dataset_checksum, estimate_backends's list or None per backend on
+    duplicate points, wall_time_ms) of one repetition of a config.cells()
+    cell; wall_time_ms times the generation, checksum, scan and every
+    backend's assembly together."""
+    d, param, param_gen, _ = cell
+    seed = derive_seed(config.base_seed, config.family, d, param, rep)
+    start = time.perf_counter()
+    data = family.dataset(d, param_gen, config.n, seed)
+    checksum = dataset_checksum(data)
+    try:
+        radii = compute_knn_radii(data, config.k)
+    except DuplicatePointError:
+        results = [None] * len(config.backends)
+    else:
+        results = estimate_backends(radii, d, d, config.backends)
+    return checksum, results, (time.perf_counter() - start) * 1000.0
+
+
 def run_sweep(config: ExperimentConfig) -> list:
     """Run every repetition of every cell in config.cells() with each backend."""
     family = FAMILIES[config.family]
+    tasks = [(cell, rep) for cell in config.cells() for rep in range(config.repetitions)]
+    # a scan that starts no thread leaves the other CPUs idle, so the
+    # repetitions go to one process per CPU; fork copies only the calling
+    # thread, so a process running other threads computes them all itself
+    workers = 1
+    if neighbors._pair_once(config.n) and hasattr(os, "fork") and threading.active_count() == 1:
+        workers = min(neighbors._cpu_count(), len(tasks))
+    done = _in_order(lambda task: _repetition(config, family, *task), tasks, workers)
     records = []
-    for d, param, param_gen, nmi_true in config.cells():
-        for rep in range(config.repetitions):
-            seed = derive_seed(config.base_seed, config.family, d, param, rep)
-            start = time.perf_counter()
-            data = family.dataset(d, param_gen, config.n, seed)
-            checksum = dataset_checksum(data)
-            try:
-                radii = compute_knn_radii(data, config.k)
-            except DuplicatePointError:
-                results = [None] * len(config.backends)
-            else:
-                results = estimate_backends(radii, d, d, config.backends)
-            wall_time_ms = (time.perf_counter() - start) * 1000.0
-
+    try:
+        for ((d, param, param_gen, nmi_true), rep), (checksum, results, wall_time_ms) in zip(tasks, done):
             for backend, result in zip(config.backends, results):
                 status = Status.DUPLICATE_POINTS if result is None else Status.of(result)
                 # None and a NormalizationResult have none of these fields
@@ -250,7 +273,71 @@ def run_sweep(config: ExperimentConfig) -> list:
                         **values,
                     )
                 )
+    finally:
+        done.close()
     return records
+
+
+def _in_order(compute, tasks: list, workers: int):
+    """Yield compute(task) for each task in order, computed on `workers` processes.
+
+    Forked child w (0 < w < workers) computes tasks w, w + workers, ... and
+    writes each result to its own pipe (_serve); the caller computes tasks 0,
+    workers, 2 workers, ... itself and reads task i from pipe i mod workers,
+    so one worker forks nothing. An exception a child sends is raised here,
+    and a child that ends without sending a result raises RuntimeError. Every
+    child is killed, then reaped, before this returns or raises: a child
+    forked later holds the read end of an earlier child's pipe, so closing
+    the caller's copy would not end a child blocked on a full pipe.
+    """
+    pipes, pids = [], []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(compute, tasks[w::workers], write)
+            os.close(write)
+            pids.append(pid)
+            pipes.append(os.fdopen(read, "rb"))
+        for i, task in enumerate(tasks):
+            w = i % workers
+            if w == 0:
+                yield compute(task)
+                continue
+            try:
+                ok, result = pickle.load(pipes[w - 1])
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(f"sweep worker {w} ended without the result of task {i}") from exc
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _serve(compute, tasks: list, fd: int) -> None:
+    """A forked child's whole life: write (True, compute(task)) for each task to
+    fd, pickled, or (False, the exception) and stop. It leaves through
+    os._exit, so it never returns into the caller's stack or flushes its
+    copies of the caller's buffers."""
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for task in tasks:
+                try:
+                    reply = True, compute(task)
+                except BaseException as exc:  # raised again in the caller
+                    reply = False, exc
+                out.write(pickle.dumps(reply))
+                out.flush()
+                if not reply[0]:
+                    break
+    finally:
+        os._exit(0)
 
 
 @dataclass(frozen=True)
@@ -333,6 +420,7 @@ _ESTIMATES = [RECORD_COLUMNS.index(name) for name in _ESTIMATE_FIELDS]
 _HELD = {Status.OK.value: _ESTIMATES, Status.UNDEFINED_NMI.value: _ESTIMATES[:-1],
          Status.OVERFLOW.value: [], Status.DUPLICATE_POINTS.value: []}
 _STATUS = RECORD_COLUMNS.index("status")
+_TRUTH = RECORD_COLUMNS.index("nmi_true")
 _CHECKSUM = RECORD_COLUMNS.index("dataset_checksum")
 _BACKENDS = {backend.value for backend in Backend}
 
@@ -378,11 +466,14 @@ def _record_fault(row):
 def read_records_csv(path) -> list:
     """Parse a records CSV back into RunRecord objects ('' becomes None). A row
     that run_sweep never writes (see _record_fault), that repeats an earlier
-    row's (family, d, param, repetition, backend), or whose dataset_checksum
-    differs from an earlier row's of its repetition raises ConfigurationError:
-    summarize would count a repeated row as one more repetition, and the
-    backends of a repetition estimate one dataset."""
+    row's (family, d, param, repetition, backend), whose dataset_checksum
+    differs from an earlier row's of its repetition, or whose nmi_true differs
+    from an earlier row's of its cell raises ConfigurationError: summarize
+    would count a repeated row as one more repetition, the backends of a
+    repetition estimate one dataset, and a summary row takes the first row's
+    nmi_true."""
     repetitions = {}  # (family, d, param, repetition) -> (dataset_checksum, backends read)
+    truths = {}  # (family, d, param) -> nmi_true
 
     def check(row):
         fault = _record_fault(row)
@@ -394,6 +485,9 @@ def read_records_csv(path) -> list:
             return 6, "repeats an earlier row's family, d, param, repetition and backend"
         if row[_CHECKSUM] != checksum:
             return _CHECKSUM, f"{row[_CHECKSUM]!r}, but an earlier row of its repetition has {checksum!r}"
+        truth = truths.setdefault((family, d, param), row[_TRUTH])
+        if row[_TRUTH] != truth:
+            return _TRUTH, f"{row[_TRUTH]!r}, but an earlier row of its cell has {truth!r}"
         backends.add(backend)
         return None
 

@@ -69,6 +69,11 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _pair_once(n: int) -> bool:
+    """Whether a scan of n samples pairs each pair once, the one scan that starts no thread."""
+    return n * n <= _SCRATCH_ELEMS
+
+
 @dataclass(frozen=True)
 class RadiusSet:
     """Per-point k-th-neighbor distances and marginal ball counts.
@@ -115,7 +120,7 @@ def compute_knn_radii(data: Dataset, k: int) -> RadiusSet:
     if k >= n:
         raise ConfigurationError(f"k = {k} requires at least k + 1 = {k + 1} samples, got {n}")
 
-    if n * n <= _SCRATCH_ELEMS:
+    if _pair_once(n):
         scan = _pair_once_scan
     elif data.d_x == data.d_y == 1:
         scan = _sorted_window_scan

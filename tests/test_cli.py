@@ -355,20 +355,23 @@ def test_summarize_refuses_rows_the_sweep_never_writes(tmp_path, capsys, column,
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("fault", ["repeated row", "unpaired checksum"])
+@pytest.mark.parametrize("fault", ["repeated row", "unpaired checksum", "other nmi_true"])
 def test_summarize_refuses_rows_that_break_a_repetition(tmp_path, capsys, fault):
-    # a repeated row would count as one more repetition, and the backends of a
-    # repetition estimate one dataset
+    # a repeated row would count as one more repetition, the backends of a
+    # repetition estimate one dataset, and a summary row takes its cell's first nmi_true
     path = _records_csv(tmp_path, backends=["proposed", "dominant"])
     header, first, second = path.read_text().splitlines()
-    column = RECORD_COLUMNS.index("dataset_checksum")
-    checksum, unpaired = first.split(",")[column], second.split(",")
-    unpaired[column] = "0000000000000000"
+    column, truth_column = RECORD_COLUMNS.index("dataset_checksum"), RECORD_COLUMNS.index("nmi_true")
+    checksum, truth = first.split(",")[column], first.split(",")[truth_column]
+    unpaired, untrue = second.split(","), second.split(",")
+    unpaired[column], untrue[truth_column] = "0000000000000000", "0.75"
     rows, row_no, name, reason = {
         "repeated row": ([first, second, second], 4, "backend",
                          "repeats an earlier row's family, d, param, repetition and backend"),
         "unpaired checksum": ([first, ",".join(unpaired)], 3, "dataset_checksum",
                               f"'0000000000000000', but an earlier row of its repetition has '{checksum}'"),
+        "other nmi_true": ([first, ",".join(untrue)], 3, "nmi_true",
+                           f"0.75, but an earlier row of its cell has {truth}"),
     }[fault]
     path.write_text("\n".join([header, *rows]) + "\n")
     capsys.readouterr()

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from knnmi.dataset import Dataset
-from knnmi.errors import ConfigurationError
+from knnmi.errors import ConfigurationError, RadiusOverflowError
 from knnmi.harness import (
     DEFAULT_GAUSSIAN_DIMS,
     DEFAULT_NU_GRID,
@@ -31,6 +33,19 @@ from knnmi.harness import (
 )
 from knnmi.scaling import Backend, normalize
 from knnmi.truth import gaussian_truth
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test still running after 60 s instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def small_config(**overrides):
@@ -259,16 +274,84 @@ class TestRunSweep:
         assert seen == {"generate_gaussian", "generate_student_t", "gaussian_truth", "student_t_truth"}
 
     def test_records_do_not_depend_on_the_worker_count(self, monkeypatch):
-        # d = 1 takes the sorted window and d = 3 brute force; at N = 3000 both
-        # scans split into chunks, which one CPU runs alone and three share
+        # N = 3000: d = 1 takes the sorted window and d = 3 brute force, and both
+        # scans split into chunks, which one CPU runs alone and more share.
+        # N = 200: the repetitions go to one process per CPU; d = 256 gives
+        # baseline overflow rows, and one repetition that a forked worker
+        # computes draws k + 1 coincident points
+        import knnmi.harness as harness
         import knnmi.neighbors as neighbors
 
-        cfg = small_config(dims=[1, 3], rho_grid=[0.0, 0.9], n=3000, repetitions=2)
-        runs = []
-        for workers in (1, 3):
-            monkeypatch.setattr(neighbors, "_cpu_count", lambda: workers)
-            runs.append([dataclasses.replace(r, wall_time_ms=0.0) for r in run_sweep(cfg)])
-        assert runs[0] == runs[1]
+        threaded = small_config(dims=[1, 3], rho_grid=[0.0, 0.9], n=3000, repetitions=2)
+        forked = small_config(dims=[1, 8, 256], rho_grid=[0.0, 0.9], n=200,
+                              backends=["baseline", "proposed", "dominant"])
+        family = harness.FAMILIES[GAUSSIAN]
+        # task 5 of 12 in record order: pipe 1 of 2 workers, pipe 2 of 3
+        duplicated = derive_seed(forked.base_seed, GAUSSIAN, 8, 0.0, 1)
+
+        def generate(spec):
+            data = family.generate(spec)
+            if spec.seed != duplicated:
+                return data
+            x, y = data.x.copy(), data.y.copy()
+            x[:forked.k + 1], y[:forked.k + 1] = x[0], y[0]
+            return Dataset(x, y)
+
+        monkeypatch.setitem(harness.FAMILIES, GAUSSIAN, family._replace(generate=generate))
+        for cfg in (threaded, forked):
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(neighbors, "_cpu_count", lambda: workers)
+                runs.append([dataclasses.replace(r, wall_time_ms=0.0) for r in run_sweep(cfg)])
+            assert runs[0] == runs[1] == runs[2]
+        assert {r.status for r in runs[0]} == {"ok", "overflow", "duplicate_points"}
+        assert [r.repetition for r in runs[0] if r.status == "duplicate_points"] == [1] * 3
+
+    @pytest.mark.parametrize("failure", ["ValueError", "RadiusOverflowError", "exit"])
+    def test_a_workers_failure_reaches_the_caller(self, monkeypatch, deadline, failure):
+        # two workers: the forked one computes the d = 2 repetition, and fails
+        import knnmi.harness as harness
+        import knnmi.neighbors as neighbors
+
+        real, caller = harness.estimate_backends, os.getpid()
+        error = {"ValueError": ValueError("no estimate here"), "RadiusOverflowError": RadiusOverflowError(7),
+                 "exit": RuntimeError("sweep worker 1 ended without the result of task 1")}[failure]
+
+        def failing(radii, d_x, d_y, backends):
+            if os.getpid() != caller:
+                if failure == "exit":
+                    os._exit(1)
+                raise error
+            return real(radii, d_x, d_y, backends)
+
+        monkeypatch.setattr(neighbors, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "estimate_backends", failing)
+        with pytest.raises(type(error)) as raised:
+            run_sweep(small_config(dims=[1, 2], rho_grid=[0.5], repetitions=1))
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failing_caller_kills_workers_blocked_on_full_pipes(self, monkeypatch, deadline):
+        # each forked worker's 300 results fill more than a 64 KiB pipe, and the
+        # second worker holds the read end of the first's pipe, so only a kill
+        # ends the first; reaping it unkilled would wait forever
+        import knnmi.harness as harness
+        import knnmi.neighbors as neighbors
+
+        real, caller = harness.estimate_backends, os.getpid()
+
+        def failing(radii, d_x, d_y, backends):
+            if os.getpid() == caller:
+                raise ValueError("the caller's own repetition")
+            return real(radii, d_x, d_y, backends)
+
+        monkeypatch.setattr(neighbors, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(harness, "estimate_backends", failing)
+        with pytest.raises(ValueError, match="^the caller's own repetition$"):
+            run_sweep(small_config(n=20, rho_grid=[0.5], repetitions=900))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_duplicate_points_recorded(self, monkeypatch):
         import knnmi.harness as harness
