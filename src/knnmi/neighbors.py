@@ -20,6 +20,18 @@ d_x = d_y = 1 (D = 2) above that, brute force elsewhere. All take each
 distance with the same float operations, every reduction (max, partition,
 integer count) is order-independent and threads (`_share_out`) write
 disjoint rows: results are bit-identical for any scan, chunk and thread count.
+
+The pair-once scan folds, partitions and counts on int16 planes, deciding
+in float64 only what quantization leaves open, and on float64 planes where
+int16 cannot pay or cannot be certified. Its input alone decides; with z
+running over every feature value, int16 needs all of:
+* D = d_x + d_y >= 8 (_INT16_MIN_FEATURES);
+* max |z| <= 64 mean |z| (_INT16_TAIL): heavier tails leave few
+  quantization steps near epsilon;
+* 2^-1000 <= max |z| <= 2^1020: else the scale is subnormal or a
+  difference could overflow;
+* a radius band of at most 4n entries (_INT16_BAND_ROWS).
+Radii and counts are bit-identical on both (see _pair_once_scan).
 """
 
 import math
@@ -59,6 +71,13 @@ _WINDOW_GROWTH = 4
 # as into malloc's 16-byte-aligned blocks (N = 200 plane, AVX-512 Xeon)
 _ALIGN = 64
 _scratch = threading.local()
+
+# the pair-once scan's int16 rules (module docstring); output is the same for
+# any values. At N = 200, k = 5 (Gaussian rho 0.5, 2-vCPU Xeon) int16 planes
+# took 0.40 against 0.46 ms a scan at D = 8 and 1.55 against 3.50 at 128
+_INT16_MIN_FEATURES = 8
+_INT16_TAIL = 64
+_INT16_BAND_ROWS = 4
 
 
 def _cpu_count() -> int:
@@ -272,26 +291,92 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     d_x = d_y = 64 and 0.9 at 2, where the partition and compares that both
     pay dominate, and 0.30 against the sorted window's 0.52 ms at 1 (40
     Gaussian and Student-t samples, 2-vCPU Xeon). It starts no thread.
+
+    The planes are int16 where the module docstring's rules allow: with
+    M = max |z| over every feature value and s = fl(M / 16383), each value
+    is quantized once to q = rint(fl(z / s)), so |q| <= 16383 and the fold,
+    partition and compares are exact integer work. With u = 2^-53 and
+    |z / s| < 2^14, fl(z / s) is within 2^14 u of z / s and rint within 1/2
+    of that, so q_a - q_b is within 1 + 2^15 u of (a - b) / s; and
+    |fl(a - b)| / s, below 2^15 (M <= 2^1020 keeps fl(a - b) finite), is
+    within 2^15 u of |a - b| / s. A max moves by no more than the largest
+    move of its terms, so every quantized distance Q is within
+    delta = 1 + 2^-37 units of F / s, where F = max_f |fl(a_f - b_f)| is
+    the float64 distance. Where Q cannot decide, F is computed again with
+    the float64 planes' operations:
+    - radii: with K a column's k-th smallest Q, its epsilon is within delta
+      of K s. An entry with Q < K - 2 lies below epsilon and one with
+      Q > K + 2 above it (2 delta < 3), so epsilon is the (k - c)-th
+      smallest F of the entries with |Q - K| <= 2, c the entries below them.
+      A band of over _INT16_BAND_ROWS * n entries takes float64 planes.
+    - counts: an entry with Q < ceil(fl(epsilon / s) - (1 + 2^-30)) is
+      below epsilon, and one with Q > floor(fl(epsilon / s) + (1 + 2^-30))
+      is not: 2^-30 covers delta and the rounding of epsilon / s and the
+      sum (each under 2^15 u). The F of the entries between are compared.
+    Radii and counts are therefore bit-identical to the float64 planes'.
     """
-    n = x.shape[0]
+    n, d_x = x.shape
+    d = d_x + y.shape[1]
     half, rest = n // 2, n - 1 - n // 2  # offsets computed; offsets read back
-    d_x, d_y = x.shape[1], y.shape[1]
     # dist[m, r, i] = marginal m's distance from sample i to sample (i + r + 1) % n
     # for r < half, and to sample (i - (r - half) - 1) % n after that: column i
     # holds sample i's distance to every other sample once
-    dist, features, plane, wrapped = _carve(
-        ((2, n - 1, n), float), ((d_x + d_y, n + half), float), ((half, n), float),
-        ((half, rest + n), float),
-    )
+    shapes = (2, n - 1, n), (d, n + half), (half, n), (half, rest + n)
+    if d >= _INT16_MIN_FEATURES:
+        # one carve, so that the certificate finds z (the features, one per row) as the fold left it
+        dist, features, plane, wrapped, z, scaled, *scratch = _carve(
+            *((shape, np.int16) for shape in shapes), ((d, n), float), ((d * n,), float),
+            ((d * n,), float), ((n - 1, n), np.int16), ((n, n - 1), np.int16),
+            ((2, n - 1, n), bool), ((2, n - 1, n), np.uint16),
+        )
+        z[:d_x], z[d_x:] = x.T, y.T
+        scaled = scaled.reshape(d, n)
+        np.abs(z, out=scaled)
+        big = scaled.max()
+        if 2.0**-1000 <= big <= 2.0**1020 and big <= _INT16_TAIL * scaled.mean():
+            s = big / 16383
+            np.divide(z, s, out=scaled)
+            np.rint(scaled, out=scaled)
+            features[:, :n] = scaled
+            _pair_distances(d_x, dist, features, plane, wrapped)
+            found = _certified_radii(dist, z, d_x, k, s, scaled.reshape(-1), *scratch)
+            if found is not None:
+                return found
 
+    dist, features, plane, wrapped = _carve(*((shape, float) for shape in shapes))
+    features[:d_x, :n] = x.T
+    features[d_x:, :n] = y.T
+    _pair_distances(d_x, dist, features, plane, wrapped)
+
+    # the partition's planes (9n^2 bytes past dist) lie over the dead loop planes
+    # (over 10n^2), so the buffer does not grow and dist keeps its place and values
+    _, dist_joint, inside = _carve(((2, n - 1, n), float), ((n - 1, n), float), ((n - 1, n), bool))
+    np.maximum(dist[0], dist[1], out=dist_joint)
+    dist_joint.partition(k - 1, axis=0)
+    epsilon = dist_joint[k - 1].copy()
+
+    counts = []
+    for dist_m in dist:
+        np.less(dist_m, epsilon, out=inside)
+        counts.append(_column_counts(inside))
+    return epsilon, *counts
+
+
+def _pair_distances(d_x: int, dist: np.ndarray, features: np.ndarray, plane: np.ndarray,
+                    wrapped: np.ndarray) -> None:
+    """Fill dist, the pair-once scan's (2, n - 1, n) planes, from features[:, :n].
+
+    features holds the x then the y features, one per row, and n // 2 spare
+    columns; plane and wrapped are scratch. All four share one dtype.
+    """
+    n, half = dist.shape[2], plane.shape[0]
+    rest = n - 1 - half
     # features[f, i] = a_f[i % n] for i < n + half, so that
     # windows[f, t - 1, i] = features[f, i + t] = a_f[(i + t) % n] for t = 1..half;
     # built by the ndarray constructor, which checks the view against the buffer:
     # sliding_window_view took 20 us per call, and 130 us under the benchmark's
     # tracemalloc. Filled in place: a transposing copy of the wrapped joint
     # array took 2.5 times as long at d_x = d_y = 64
-    features[:d_x, :n] = x.T
-    features[d_x:, :n] = y.T
     features[:, n:] = features[:, :half]
     step = features.itemsize
     windows = np.ndarray(
@@ -304,28 +389,90 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     # rows rest + n - 1 apart in the flat buffer (n = 2 reads nothing back)
     skew = wrapped.reshape(-1)[max(rest - 1, 0) :][: rest * (rest + n - 1)]
     skew = skew.reshape(rest, rest + n - 1)[:, :n]
-    for m, features_m in enumerate((range(d_x), range(d_x, d_x + d_y))):
+    for m, features_m in enumerate((range(d_x), range(d_x, len(features)))):
         top = dist[m, :half]
         _fold_max(top, plane, ((features[f, :n], windows[f]) for f in features_m))
         wrapped[:, rest:] = top
         wrapped[:, :rest] = top[:, n - rest :]
         dist[m, half:] = skew
 
-    # the partition's planes (9n^2 bytes past dist) lie over the dead loop planes
-    # (over 10n^2), so the buffer does not grow and dist keeps its place and values
-    _, dist_joint, inside = _carve(((2, n - 1, n), float), ((n - 1, n), float), ((n - 1, n), bool))
-    np.maximum(dist[0], dist[1], out=dist_joint)
-    dist_joint.partition(k - 1, axis=0)
-    epsilon = dist_joint[k - 1].copy()
 
+def _certified_radii(dist: np.ndarray, z: np.ndarray, d_x: int, k: int, s: float,
+                     taken: np.ndarray, other: np.ndarray, joint: np.ndarray, part: np.ndarray,
+                     inside: np.ndarray, offset: np.ndarray):
+    """(epsilon, n_x, n_y) from the pair-once scan's int16 planes dist, quantized
+    from the features z in units of s, or None where the radius band is too
+    wide; the bands are derived in _pair_once_scan. The other arrays are
+    scratch: taken and other flat, with z's size, and the rest of the
+    planes' shapes, part transposed."""
+    n = z.shape[1]
+    np.maximum(dist[0], dist[1], out=joint)
+    # each sample's distances in one row: a partition down the columns took 70 against 50 us
+    part[...] = joint.T
+    part.partition(k - 1, axis=1)
+    low = part[:, k - 1] - 2
+    _, samples, partners = _band(joint[None], low, 4, inside[:1], offset[:1])
+    if samples.size > _INT16_BAND_ROWS * n:
+        return None
+    near = _exact_distances(z, samples, partners, taken, other)
+    # the band sorted by sample, then by distance; each sample's entries start at first
+    by_sample = np.bincount(samples, minlength=n)
+    first = np.cumsum(by_sample) - by_sample
+    below = np.count_nonzero(part[:, : k - 1] < low[:, None], axis=1)
+    epsilon = near[np.lexsort((near, samples))][first + k - 1 - below]
+
+    scaled = epsilon / s
+    low = np.ceil(scaled - (1 + 2.0**-30)).astype(np.int16)
+    width = (np.floor(scaled + (1 + 2.0**-30)) - low).astype(np.uint16)
+    np.less(dist, low, out=inside)
+    counts = inside.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n - 1)).astype(np.int64)
+    marginal, samples, partners = _band(dist, low, width, inside, offset)
+    cut = np.searchsorted(marginal, 1)  # the band holds the x entries first
+    near = np.concatenate([_exact_distances(z[:d_x], samples[:cut], partners[:cut], taken, other),
+                           _exact_distances(z[d_x:], samples[cut:], partners[cut:], taken, other)])
+    inner = near < epsilon[samples]
+    counts += np.bincount(marginal[inner] * n + samples[inner], minlength=2 * n).reshape(2, n)
+    return epsilon, *counts
+
+
+def _band(planes: np.ndarray, low: np.ndarray, width, inside: np.ndarray, offset: np.ndarray):
+    """(plane, sample, partner) of each entry of planes, int16 pair-once planes
+    stacked on a first axis, that lies in low..low + width of its column, in
+    flat order; inside and offset, of planes' shape, are scratch."""
+    n = planes.shape[-1]
+    # entries below low wrap to 2^16 - (low - entry) > width
+    np.subtract(planes.view(np.uint16), low.view(np.uint16), out=offset)
+    np.less_equal(offset, width, out=inside)
+    # the flat index: np.nonzero of a 2-D plane took 87 against 7 us (N = 200)
+    rows, samples = np.divmod(np.flatnonzero(inside), n)
+    which, rows = np.divmod(rows, n - 1)
+    return which, samples, (samples + np.where(rows < n // 2, rows + 1, n // 2 - 1 - rows)) % n
+
+
+def _exact_distances(z: np.ndarray, samples: np.ndarray, partners: np.ndarray, taken: np.ndarray,
+                     other: np.ndarray) -> np.ndarray:
+    """max_f |fl(z[f, i] - z[f, j])| for each pair (i, j) of samples and partners,
+    0 where z has no row; z holds one feature per row, and taken and other
+    are flat scratch of at least z's size."""
+    near = np.zeros(samples.size)
+    step = taken.size // max(len(z), 1)
+    for start in range(0, samples.size if len(z) else 0, step):
+        i, j = samples[start : start + step], partners[start : start + step]
+        a, b = (g[: len(z) * i.size].reshape(len(z), i.size) for g in (taken, other))
+        np.take(z, i, axis=1, out=a, mode="clip")  # "clip" skips numpy's buffered copy
+        np.take(z, j, axis=1, out=b, mode="clip")
+        np.subtract(a, b, out=a)
+        np.abs(a, out=a)
+        a.max(axis=0, out=near[start : start + step])
+    return near
+
+
+def _column_counts(inside: np.ndarray) -> np.ndarray:
+    """True entries down each column of inside, (n - 1, n), as int64."""
     # a column's count is at most n - 1, so it fits that type; summing bytes
     # (uint8 up to n = 256) down the columns is about four times faster than count_nonzero
-    tally = np.min_scalar_type(n - 1)
-    counts = []
-    for dist_m in dist:
-        np.less(dist_m, epsilon, out=inside)
-        counts.append(inside.view(np.uint8).sum(axis=0, dtype=tally).astype(np.int64))
-    return epsilon, *counts
+    tally = np.min_scalar_type(inside.shape[0])
+    return inside.view(np.uint8).sum(axis=0, dtype=tally).astype(np.int64)
 
 
 def _carve(*layout):

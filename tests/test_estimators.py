@@ -123,6 +123,22 @@ class TestRelativeEntropies:
         assert Status.of(high) is Status.OK and high.nmi > 0.0
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_scalar_against_a_wide_vector_collapses(self, seed):
+        # x = z_1 against y correlated with it in its first component only, at
+        # N = 2000: h_x falls from about 2.7 at d_y = 1 to 0.51-0.54 at d_y = 8
+        # and to -0.09..+0.02 at d_y = 64, where the NMI turns erratic
+        def scalar_against_vector(d_y):
+            g = np.random.Generator(np.random.Philox(key=seed))
+            x, y = g.standard_normal((2000, 1)), g.standard_normal((2000, d_y))
+            y[:, :1] = 0.5 * x + math.sqrt(0.75) * y[:, :1]
+            return Dataset(x, y)
+
+        narrow, wide = (estimate(scalar_against_vector(d_y), k=5) for d_y in (8, 64))
+        assert 0.4 < narrow.h_x < 0.7
+        assert abs(wide.h_x) < 0.1
+
+
 class TestNmi:
     def test_zero_mi(self):
         assert nmi(0.0, 1.5, 2.5) == 0.0

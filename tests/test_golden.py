@@ -8,10 +8,11 @@ these digests can. A change that means to move bits updates the digest here
 and says in CHANGES.md which values moved and why.
 
 The cases cover one shape per scan (the D = 2 sorted window above N = 256,
-the pair-once scan at N <= 256, brute force elsewhere) and the data that
-stress the exact comparisons: integer-valued ties, Student-t nu = 0.125
-tails and a decimal grid, where the addition form v_q < v_p + eps of the
-count predicate rounds differently from the subtraction form.
+the pair-once scan at N <= 256 on each of its plane types, brute force
+elsewhere) and the data that stress the exact comparisons: integer-valued
+ties, Student-t nu = 0.125 tails and a decimal grid, where the addition
+form v_q < v_p + eps of the count predicate rounds differently from the
+subtraction form.
 """
 
 import hashlib
@@ -45,11 +46,21 @@ CASES = {
         lambda: _gaussian(1, 0.6, 2000, 1), 5,
         "f88fe76f63fa3eb4",
         "11a8bf09b7da231fbe45df9e9729b1c903dd8109c720329a206a5bb966afe971"),
-    # pair once at its largest size, N = 256 (D = 8)
+    # pair once at its largest size, N = 256 (D = 8, int16 planes)
     "pair-once-n256": (
         lambda: _gaussian(4, 0.5, 256, 2), 5,
         "a6cb7ad90ec293b5",
         "bb7238f0bf70fa346395f87a57bf4b49edb7ec3d762b54cbe9ee192b9bf98f45"),
+    # pair once on int16 planes (D = 32), and Student-t nu = 0.5, whose tails
+    # keep it on float64 planes; both digests date from before int16 planes
+    "pair-once-gaussian-d16": (
+        lambda: _gaussian(16, 0.5, 200, 9), 5,
+        "cca9ce8096f1578f",
+        "9a99d85a5c0568863b085deab1db55c71098b74085cffe25690abb44108c54b4"),
+    "pair-once-student-t-d16": (
+        lambda: generate_student_t(StudentTSpec(d=16, nu=0.5, n=200, seed=10)), 5,
+        "539df20b497a0e15",
+        "26f58eea41d503bd81b6d339c3354a0088ec42643c9155d0278d8f2260d772c5"),
     # brute force one row past the pair-once bound (D = 4)
     "brute-force-n257": (
         lambda: _gaussian(2, 0.5, 257, 3), 5,

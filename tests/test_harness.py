@@ -5,6 +5,7 @@ import json
 import math
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -306,6 +307,29 @@ class TestRunSweep:
             assert runs[0] == runs[1] == runs[2]
         assert {r.status for r in runs[0]} == {"ok", "overflow", "duplicate_points"}
         assert [r.repetition for r in runs[0] if r.status == "duplicate_points"] == [1] * 3
+
+    def test_a_caller_running_another_thread_forks_nothing(self, monkeypatch, deadline):
+        # fork copies only the calling thread, so run_sweep forks only from a
+        # single-threaded caller; with one more live thread it computes every
+        # repetition itself, and the records are the forked run's
+        import knnmi.neighbors as neighbors
+
+        monkeypatch.setattr(neighbors, "_cpu_count", lambda: 2)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: (forks.append(os.getpid()), fork())[1])
+        cfg = small_config(dims=[1, 4], n=200)
+        forked = [dataclasses.replace(r, wall_time_ms=0.0) for r in run_sweep(cfg)]
+        assert len(forks) == 1
+        forks.clear()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            serial = [dataclasses.replace(r, wall_time_ms=0.0) for r in run_sweep(cfg)]
+        finally:
+            release.set()
+            other.join()
+        assert forks == [] and serial == forked
 
     @pytest.mark.parametrize("failure", ["ValueError", "RadiusOverflowError", "exit"])
     def test_a_workers_failure_reaches_the_caller(self, monkeypatch, deadline, failure):

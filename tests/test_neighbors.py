@@ -57,18 +57,52 @@ def pin_scan(monkeypatch, scratch, workers):
 
 # the three scans behind compute_knn_radii; the first runs only at d_x = d_y = 1
 SCANS = ("sorted_window", "pair_once", "brute_force")
+# the scans as the oracle tests run them: pair once with its int16 planes forced and refused
+VARIANTS = ("sorted_window", "pair_once_int16", "pair_once_float64", "brute_force")
+
+
+def use_planes(m, planes):
+    """Give the pair-once scan int16 planes wherever they can be certified
+    ("int16": no rule on D, tails or band size), or none ("float64")."""
+    if planes == "int16":
+        m.setattr(neighbors, "_INT16_MIN_FEATURES", 1)
+        m.setattr(neighbors, "_INT16_TAIL", np.inf)
+        m.setattr(neighbors, "_INT16_BAND_ROWS", np.inf)
+    else:
+        m.setattr(neighbors, "_INT16_MIN_FEATURES", np.inf)
 
 
 def use_scan(m, scan):
-    """Route compute_knn_radii through `scan` (one of SCANS) whatever the shape."""
+    """Route compute_knn_radii through `scan` (one of VARIANTS) whatever the shape."""
+    if scan.startswith("pair_once_"):
+        use_planes(m, scan.rpartition("_")[2])
+        scan = "pair_once"
     chosen = getattr(neighbors, f"_{scan}_scan")
     for name in SCANS:
         m.setattr(neighbors, f"_{name}_scan", chosen)
 
 
 def scans_for(data):
-    """Every scan at d_x = d_y = 1, else the two that take any shape."""
-    return SCANS if data.d_x == data.d_y == 1 else SCANS[1:]
+    """Every scan at d_x = d_y = 1, else the ones that take any shape."""
+    return VARIANTS if data.d_x == data.d_y == 1 else VARIANTS[1:]
+
+
+def planes_taken(m):
+    """A list that each pair-once scan appends "int16" or "float64" to, by the planes that gave its result."""
+    taken, certified = [], neighbors._certified_radii
+
+    def spy(*args):
+        found = certified(*args)
+        taken[-1] = "float64" if found is None else "int16"
+        return found
+
+    def scan(x, y, k, chosen=neighbors._pair_once_scan):
+        taken.append("float64")
+        return chosen(x, y, k)
+
+    m.setattr(neighbors, "_certified_radii", spy)
+    m.setattr(neighbors, "_pair_once_scan", scan)
+    return taken
 
 
 def assert_matches_oracle(rs, data, k, err_msg=""):
@@ -141,8 +175,9 @@ def test_matches_naive_oracle_exactly(n, d_x, d_y, k, monkeypatch):
     rng = np.random.default_rng(n * 1000 + k)
     data = random_dataset(rng, n, d_x, d_y)
     for scan in scans_for(data):
-        for rows in (1, 13, n) if scan != "pair_once" else (n,):
-            for workers in (1, 2, 3) if scan != "pair_once" else (1,):
+        pair_once = scan.startswith("pair_once")
+        for rows in (1, 13, n) if not pair_once else (n,):
+            for workers in (1, 2, 3) if not pair_once else (1,):
                 with monkeypatch.context() as m:
                     use_scan(m, scan)
                     pin_scan(m, rows * n, workers)
@@ -334,7 +369,7 @@ def test_overflowing_radius_is_a_typed_error(workers, monkeypatch):
     rng = np.random.default_rng(31)
     x, y = -rng.uniform(0.5, 1.0, (40, 1)) * 1e308, -rng.uniform(0.5, 1.0, (40, 1)) * 1e308
     x[9], y[30] = 1.7e308, 1.7e308
-    for scan in SCANS:
+    for scan in VARIANTS:
         with monkeypatch.context() as m:
             use_scan(m, scan)
             pin_scan(m, 40, workers)
@@ -401,14 +436,15 @@ def test_sorted_window_scan_equals_brute_force(family, n, k, monkeypatch):
             np.testing.assert_array_equal(a, b, err_msg=f"{name} workers={workers}")
 
 
+@pytest.mark.parametrize("planes", ["int16", "float64"])
 @pytest.mark.parametrize("d_x, d_y", [(1, 0), (0, 2), (1, 1), (2, 1), (1, 3)])
-def test_pair_once_scan_matches_oracle_exhaustively(d_x, d_y, monkeypatch):
+def test_pair_once_scan_matches_oracle_exhaustively(d_x, d_y, planes, monkeypatch):
     # every n from 2 to 12 and every k < n, on normal data and on integer
     # data in 0..2, where ties at eps and duplicates abound. At even n the
     # offset n / 2 reaches each of its pairs from both ends, so none of its
     # distances is read back; odd n have no such offset
     rng = np.random.default_rng(47)
-    use_scan(monkeypatch, "pair_once")
+    use_scan(monkeypatch, f"pair_once_{planes}")
     for n in range(2, 13):
         for data in (
             random_dataset(rng, n, d_x, d_y),
@@ -419,9 +455,11 @@ def test_pair_once_scan_matches_oracle_exhaustively(d_x, d_y, monkeypatch):
                 assert_scan_agrees_with_oracle(data, k, f"n={n} k={k}")
 
 
-def test_pair_once_scan_equals_brute_force_up_to_256_rows():
+@pytest.mark.parametrize("planes", ["int16", "float64"])
+def test_pair_once_scan_equals_brute_force_up_to_256_rows(planes, monkeypatch):
     # the largest sample that takes the pair-once scan, and an odd one
     rng = np.random.default_rng(53)
+    use_planes(monkeypatch, planes)
     for n, d_x, d_y, k in ((256, 8, 8, 5), (255, 3, 0, 20), (201, 64, 64, 1)):
         x, y = rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y))
         got = neighbors._pair_once_scan(x, y, k)
@@ -429,6 +467,69 @@ def test_pair_once_scan_equals_brute_force_up_to_256_rows():
         for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
             assert a.dtype == b.dtype, name
             np.testing.assert_array_equal(a, b, err_msg=f"{name} n={n}")
+
+
+def plane_case(name):
+    """(dataset, k, the planes a pair-once scan of it takes with int16 forced)."""
+    rng = np.random.default_rng(73)
+    if name == "integer_ties":
+        # marginal distances tie at eps everywhere, so both bands hold many entries
+        joint, k, planes = rng.integers(0, 4, (200, 8)).astype(float), 5, "int16"
+    elif name == "subnormal":
+        # max |z| below 2^-1000: the quantization unit would be subnormal
+        joint, k, planes = rng.normal(size=(60, 8)) * 1e-310, 3, "float64"
+    elif name == "huge":
+        # max |z| just under 2^1020, so differences up to 2e307 stay finite
+        joint, k, planes = rng.uniform(-1.0, 1.0, (60, 8)) * 1e307, 3, "int16"
+    elif name == "k_n_minus_1":
+        joint, k, planes = rng.normal(size=(40, 8)), 39, "int16"
+    else:
+        # half steps of the quantization unit s = 0.7 (max |z| = 16383 s): the
+        # division rounds some values onto a half step they miss, so a
+        # quantized distance can be off by a little more than 1 unit. A
+        # radius band narrowed to +-1 unit gets several radii wrong here
+        joint = (rng.integers(-100, 100, (200, 2)) + 0.5) * 0.7
+        joint[0, 0] = 16383 * 0.7
+        k, planes = 5, "int16"
+    d_x = joint.shape[1] // 2
+    return Dataset(joint[:, :d_x], joint[:, d_x:]), k, planes
+
+
+@pytest.mark.parametrize("name", ["integer_ties", "subnormal", "huge", "k_n_minus_1", "half_steps"])
+def test_both_planes_give_the_oracle_radii(name, monkeypatch):
+    # int16 planes forced wherever they can be certified, then refused
+    data, k, planes = plane_case(name)
+    for forced in ("int16", "float64"):
+        with monkeypatch.context() as m:
+            use_planes(m, forced)
+            taken = planes_taken(m)
+            assert_scan_agrees_with_oracle(data, k, forced)
+        assert taken == [planes if forced == "int16" else "float64"]
+
+
+def test_pair_once_planes_are_chosen_by_the_input(monkeypatch):
+    # the module docstring's rules, one refusal each, at N = 200
+    rng = np.random.default_rng(79)
+    gaussian = rng.normal(size=(200, 8))
+    heavy = rng.standard_t(0.5, (200, 16))
+    assert np.abs(heavy).max() > 64 * np.abs(heavy).mean()
+    cases = [
+        ("int16", gaussian),
+        ("float64", gaussian[:, :6]),  # D = 6
+        ("float64", heavy),
+        ("float64", gaussian * 1e-305),  # max |z| below 2^-1000
+        ("float64", rng.uniform(-1.0, 1.0, (200, 8)) * 1.5e307),  # above 2^1020
+        # distances 0, 1 and 2 only: about a quarter of each row ties at eps
+        ("float64", rng.integers(0, 3, (200, 8)).astype(float)),
+    ]
+    taken = planes_taken(monkeypatch)
+    for planes, joint in cases:
+        taken.clear()
+        d_x = joint.shape[1] // 2
+        data = Dataset(joint[:, :d_x], joint[:, d_x:])
+        with np.errstate(over="ignore"):
+            assert_matches_oracle(compute_knn_radii(data, 5), data, 5)
+        assert taken == [planes], joint[0]
 
 
 def test_pair_once_results_never_alias_the_scratch():
@@ -682,7 +783,7 @@ def test_decimal_grid_data_matches_oracle(n, data):
     joint = dataset.joint()
     if any(int((joint == row).all(axis=1).sum()) - 1 >= k for row in joint):
         return  # a radius of 0 is covered by the duplicate tests
-    for scan in SCANS:
+    for scan in VARIANTS:
         with pytest.MonkeyPatch.context() as m:
             use_scan(m, scan)
             assert_matches_oracle(compute_knn_radii(dataset, k), dataset, k, scan)
