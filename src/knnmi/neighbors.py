@@ -425,7 +425,7 @@ def _certified_radii(dist: np.ndarray, z: np.ndarray, d_x: int, k: int, s: float
     low = np.ceil(scaled - (1 + 2.0**-30)).astype(np.int16)
     width = (np.floor(scaled + (1 + 2.0**-30)) - low).astype(np.uint16)
     np.less(dist, low, out=inside)
-    counts = inside.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(n - 1)).astype(np.int64)
+    counts = _column_counts(inside)
     marginal, samples, partners = _band(dist, low, width, inside, offset)
     cut = np.searchsorted(marginal, 1)  # the band holds the x entries first
     near = np.concatenate([_exact_distances(z[:d_x], samples[:cut], partners[:cut], taken, other),
@@ -468,11 +468,11 @@ def _exact_distances(z: np.ndarray, samples: np.ndarray, partners: np.ndarray, t
 
 
 def _column_counts(inside: np.ndarray) -> np.ndarray:
-    """True entries down each column of inside, (n - 1, n), as int64."""
+    """True entries down each column of inside, (..., n - 1, n) planes, as int64."""
     # a column's count is at most n - 1, so it fits that type; summing bytes
     # (uint8 up to n = 256) down the columns is about four times faster than count_nonzero
-    tally = np.min_scalar_type(inside.shape[0])
-    return inside.view(np.uint8).sum(axis=0, dtype=tally).astype(np.int64)
+    tally = np.min_scalar_type(inside.shape[-2])
+    return inside.view(np.uint8).sum(axis=-2, dtype=tally).astype(np.int64)
 
 
 def _carve(*layout):
