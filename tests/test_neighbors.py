@@ -436,37 +436,41 @@ def test_sorted_window_scan_equals_brute_force(family, n, k, monkeypatch):
             np.testing.assert_array_equal(a, b, err_msg=f"{name} workers={workers}")
 
 
-@pytest.mark.parametrize("planes", ["int16", "float64"])
 @pytest.mark.parametrize("d_x, d_y", [(1, 0), (0, 2), (1, 1), (2, 1), (1, 3)])
-def test_pair_once_scan_matches_oracle_exhaustively(d_x, d_y, planes, monkeypatch):
+def test_pair_once_scan_matches_oracle_exhaustively(d_x, d_y, monkeypatch):
     # every n from 2 to 12 and every k < n, on normal data and on integer
-    # data in 0..2, where ties at eps and duplicates abound. At even n the
-    # offset n / 2 reaches each of its pairs from both ends, so none of its
-    # distances is read back; odd n have no such offset
-    rng = np.random.default_rng(47)
-    use_scan(monkeypatch, f"pair_once_{planes}")
-    for n in range(2, 13):
-        for data in (
-            random_dataset(rng, n, d_x, d_y),
-            Dataset(rng.integers(0, 3, (n, d_x)).astype(float),
-                    rng.integers(0, 3, (n, d_y)).astype(float)),
-        ):
-            for k in range(1, n):
-                assert_scan_agrees_with_oracle(data, k, f"n={n} k={k}")
+    # data in 0..2, where ties at eps and duplicates abound, with int16 planes
+    # forced and refused. At even n the offset n / 2 reaches each of its pairs
+    # from both ends, so none of its distances is read back; odd n have no
+    # such offset
+    for planes in ("int16", "float64"):
+        rng = np.random.default_rng(47)
+        with monkeypatch.context() as m:
+            use_scan(m, f"pair_once_{planes}")
+            for n in range(2, 13):
+                for data in (
+                    random_dataset(rng, n, d_x, d_y),
+                    Dataset(rng.integers(0, 3, (n, d_x)).astype(float),
+                            rng.integers(0, 3, (n, d_y)).astype(float)),
+                ):
+                    for k in range(1, n):
+                        assert_scan_agrees_with_oracle(data, k, f"{planes} n={n} k={k}")
 
 
-@pytest.mark.parametrize("planes", ["int16", "float64"])
-def test_pair_once_scan_equals_brute_force_up_to_256_rows(planes, monkeypatch):
-    # the largest sample that takes the pair-once scan, and an odd one
-    rng = np.random.default_rng(53)
-    use_planes(monkeypatch, planes)
-    for n, d_x, d_y, k in ((256, 8, 8, 5), (255, 3, 0, 20), (201, 64, 64, 1)):
-        x, y = rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y))
-        got = neighbors._pair_once_scan(x, y, k)
-        want = neighbors._brute_force_scan(x, y, k)
-        for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
-            assert a.dtype == b.dtype, name
-            np.testing.assert_array_equal(a, b, err_msg=f"{name} n={n}")
+def test_pair_once_scan_equals_brute_force_up_to_256_rows(monkeypatch):
+    # the largest sample that takes the pair-once scan, and an odd one, with
+    # int16 planes forced and refused
+    for planes in ("int16", "float64"):
+        rng = np.random.default_rng(53)
+        with monkeypatch.context() as m:
+            use_planes(m, planes)
+            for n, d_x, d_y, k in ((256, 8, 8, 5), (255, 3, 0, 20), (201, 64, 64, 1)):
+                x, y = rng.normal(size=(n, d_x)), rng.normal(size=(n, d_y))
+                got = neighbors._pair_once_scan(x, y, k)
+                want = neighbors._brute_force_scan(x, y, k)
+                for name, a, b in zip(("epsilon", "n_x", "n_y"), got, want):
+                    assert a.dtype == b.dtype, name
+                    np.testing.assert_array_equal(a, b, err_msg=f"{name} {planes} n={n}")
 
 
 def plane_case(name):
