@@ -21,17 +21,23 @@ distance with the same float operations, every reduction (max, partition,
 integer count) is order-independent and threads (`_share_out`) write
 disjoint rows: results are bit-identical for any scan, chunk and thread count.
 
-The pair-once scan folds, partitions and counts on int16 planes, deciding
-in float64 only what quantization leaves open, and on float64 planes where
-int16 cannot pay or cannot be certified. Its input alone decides; with z
-running over every feature value, int16 needs all of:
+The pair-once scan is one pipeline whose planes are int16 or float64: it
+stages the features, folds them into planes, partitions each sample's
+joint distances and counts both marginals with one compare. On int16
+planes it quantizes the features first and then decides in float64 only
+what quantization leaves open, in a radius band and a count band (a
+floating-point filter in Shewchuk's sense, DCG 18:305-363, 1997). Its
+input alone picks the type; with z running over every feature value,
+int16 needs all of:
 * D = d_x + d_y >= 8 (_INT16_MIN_FEATURES);
 * max |z| <= 64 mean |z| (_INT16_TAIL): heavier tails leave few
   quantization steps near epsilon;
 * 2^-1000 <= max |z| <= 2^1020: else the scale is subnormal or a
   difference could overflow;
 * a radius band of at most 4n entries (_INT16_BAND_ROWS).
-Radii and counts are bit-identical on both (see _pair_once_scan).
+An input that fails one of them runs the pipeline on float64 planes, from
+the start or after its int16 pass. Radii and counts are bit-identical on
+both (see _pair_once_scan).
 """
 
 import math
@@ -192,12 +198,12 @@ def _sorted_window_scan(x: np.ndarray, y: np.ndarray, k: int):
         _window_pass(planes[b], orders[b], todo, k, width, eps)
         width = min(n, _WINDOW_GROWTH * width)
 
-    counts = np.empty((2, n), dtype=np.int64)  # n_x and n_y, one coordinate per thread
-
-    def count(a: int, _) -> None:
+    # n_x and n_y in the calling thread: a helper thread for one of them was
+    # no faster (estimate-d1-n10k estimate_s, medians of 10 alternating runs:
+    # 31.1 ms with it, 29.7 without)
+    counts = np.empty((2, n), dtype=np.int64)
+    for a in (0, 1):
         counts[a, orders[a]] = _count_within(planes[a][0], eps[orders[a]])
-
-    _share_out(count, (0, 1), lambda: None)
     return eps, counts[0], counts[1]
 
 
@@ -292,19 +298,28 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     pay dominate, and 0.30 against the sorted window's 0.52 ms at 1 (40
     Gaussian and Student-t samples, 2-vCPU Xeon). It starts no thread.
 
-    The planes are int16 where the module docstring's rules allow: with
-    M = max |z| over every feature value and s = fl(M / 16383), each value
-    is quantized once to q = rint(fl(z / s)), so |q| <= 16383 and the fold,
-    partition and compares are exact integer work. With u = 2^-53 and
-    |z / s| < 2^14, fl(z / s) is within 2^14 u of z / s and rint within 1/2
-    of that, so q_a - q_b is within 1 + 2^15 u of (a - b) / s; and
-    |fl(a - b)| / s, below 2^15 (M <= 2^1020 keeps fl(a - b) finite), is
-    within 2^15 u of |a - b| / s. A max moves by no more than the largest
-    move of its terms, so every quantized distance Q is within
-    delta = 1 + 2^-37 units of F / s, where F = max_f |fl(a_f - b_f)| is
-    the float64 distance. Where Q cannot decide, F is computed again with
-    the float64 planes' operations:
-    - radii: with K a column's k-th smallest Q, its epsilon is within delta
+    One pipeline serves both plane types, in a loop that tries int16 planes
+    where the module docstring's rules allow and float64 planes after them.
+    Each pass stages the features once, in float64, into z; folds them into
+    the marginal planes dist; takes the joint max into each sample's row of
+    part and partitions the rows; and counts both marginals with one
+    compare. int16 planes add three steps of their own: the quantization
+    before the fold, the radius band after the partition, and the count
+    band after the compare. A radius band too wide for int16 ends the pass,
+    and the float64 pass gives the result.
+
+    The int16 steps: with M = max |z| over every feature value and
+    s = fl(M / 16383), each value is quantized once to q = rint(fl(z / s)),
+    so |q| <= 16383 and the fold, partition and compares are exact integer
+    work. With u = 2^-53 and |z / s| < 2^14, fl(z / s) is within 2^14 u of
+    z / s and rint within 1/2 of that, so q_a - q_b is within 1 + 2^15 u of
+    (a - b) / s; and |fl(a - b)| / s, below 2^15 (M <= 2^1020 keeps
+    fl(a - b) finite), is within 2^15 u of |a - b| / s. A max moves by no
+    more than the largest move of its terms, so every quantized distance Q
+    is within delta = 1 + 2^-37 units of F / s, where
+    F = max_f |fl(a_f - b_f)| is the float64 distance. Where Q cannot
+    decide, F is computed again from z with the float64 planes' operations:
+    - radii: with K a sample's k-th smallest Q, its epsilon is within delta
       of K s. An entry with Q < K - 2 lies below epsilon and one with
       Q > K + 2 above it (2 delta < 3), so epsilon is the (k - c)-th
       smallest F of the entries with |Q - K| <= 2, c the entries below them.
@@ -318,48 +333,72 @@ def _pair_once_scan(x: np.ndarray, y: np.ndarray, k: int):
     n, d_x = x.shape
     d = d_x + y.shape[1]
     half, rest = n // 2, n - 1 - n // 2  # offsets computed; offsets read back
-    # dist[m, r, i] = marginal m's distance from sample i to sample (i + r + 1) % n
-    # for r < half, and to sample (i - (r - half) - 1) % n after that: column i
-    # holds sample i's distance to every other sample once
-    shapes = (2, n - 1, n), (d, n + half), (half, n), (half, rest + n)
-    if d >= _INT16_MIN_FEATURES:
-        # one carve, so that the certificate finds z (the features, one per row) as the fold left it
-        dist, features, plane, wrapped, z, scaled, *scratch = _carve(
-            *((shape, np.int16) for shape in shapes), ((d, n), float), ((d * n,), float),
-            ((d * n,), float), ((n - 1, n), np.int16), ((n, n - 1), np.int16),
-            ((2, n - 1, n), bool), ((2, n - 1, n), np.uint16),
-        )
-        z[:d_x], z[d_x:] = x.T, y.T
-        scaled = scaled.reshape(d, n)
-        np.abs(z, out=scaled)
-        big = scaled.max()
-        if 2.0**-1000 <= big <= 2.0**1020 and big <= _INT16_TAIL * scaled.mean():
+    for planes in (np.int16, float) if d >= _INT16_MIN_FEATURES else (float,):
+        int16 = planes is np.int16
+        # z: the features, one per row, and half spare columns for the fold's
+        # wrap, so that float64 planes fold z itself.
+        # dist[m, r, i] = marginal m's distance from sample i to sample (i + r + 1) % n
+        # for r < half, and to sample (i - (r - half) - 1) % n after that: column i
+        # holds sample i's distance to every other sample once
+        lead = ((d, n + half), float), ((2, n - 1, n), planes)
+        z, dist, plane, wrapped, *own = _carve(*lead, ((half, n), planes), ((half, rest + n), planes), *((
+            # int16's quantized features, joint plane and bands' scratch
+            ((d, n + half), planes), ((n - 1, n), planes), ((2, n - 1, n), np.uint16),
+            ((d * n,), float), ((d * n,), float),
+        ) if int16 else ()))
+        z[:d_x, :n], z[d_x:, :n] = x.T, y.T
+        if int16:
+            features, joint, offset, taken, other = own
+            scaled = taken.reshape(d, n)  # scratch until the bands
+            np.abs(z[:, :n], out=scaled)
+            big = scaled.max()
+            if not 2.0**-1000 <= big <= 2.0**1020 or big > _INT16_TAIL * scaled.mean():
+                continue
             s = big / 16383
-            np.divide(z, s, out=scaled)
+            np.divide(z[:, :n], s, out=scaled)
             np.rint(scaled, out=scaled)
             features[:, :n] = scaled
-            _pair_distances(d_x, dist, features, plane, wrapped)
-            found = _certified_radii(dist, z, d_x, k, s, scaled.reshape(-1), *scratch)
-            if found is not None:
-                return found
+        _pair_distances(d_x, dist, features if int16 else z, plane, wrapped)
 
-    dist, features, plane, wrapped = _carve(*((shape, float) for shape in shapes))
-    features[:d_x, :n] = x.T
-    features[d_x:, :n] = y.T
-    _pair_distances(d_x, dist, features, plane, wrapped)
+        # each sample's distances in one row of part, the max written
+        # transposed: as fast as a partition down the columns (80 us int16,
+        # 180 float64, at N = 200). A joint plane copied transposed would save
+        # 20 us, but float64 has no room for one beside part. part lies over
+        # the fold's dead scratch, and inside over part once its first k
+        # columns are read
+        _, _, part = _carve(*lead, ((n, n - 1), planes))
+        np.maximum(*dist.transpose(0, 2, 1), out=part)
+        part.partition(k - 1, axis=1)
+        if int16:
+            low = part[:, k - 1] - 2
+            below = np.count_nonzero(part[:, : k - 1] < low[:, None], axis=1)
+        else:
+            epsilon = low = part[:, k - 1].copy()
+        _, _, inside = _carve(*lead, ((2, n - 1, n), bool))
+        if int16:
+            np.maximum(dist[0], dist[1], out=joint)
+            _, samples, partners = _band(joint[None], low, 4, inside[:1], offset[:1])
+            if samples.size > _INT16_BAND_ROWS * n:
+                continue
+            near = _exact_distances(z, samples, partners, taken, other)
+            # the band sorted by sample, then by distance; each sample's entries start at first
+            by_sample = np.bincount(samples, minlength=n)
+            first = np.cumsum(by_sample) - by_sample
+            epsilon = near[np.lexsort((near, samples))][first + k - 1 - below]
+            scaled = epsilon / s
+            low = np.ceil(scaled - (1 + 2.0**-30)).astype(np.int16)
+            width = (np.floor(scaled + (1 + 2.0**-30)) - low).astype(np.uint16)
 
-    # the partition's planes (9n^2 bytes past dist) lie over the dead loop planes
-    # (over 10n^2), so the buffer does not grow and dist keeps its place and values
-    _, dist_joint, inside = _carve(((2, n - 1, n), float), ((n - 1, n), float), ((n - 1, n), bool))
-    np.maximum(dist[0], dist[1], out=dist_joint)
-    dist_joint.partition(k - 1, axis=0)
-    epsilon = dist_joint[k - 1].copy()
-
-    counts = []
-    for dist_m in dist:
-        np.less(dist_m, epsilon, out=inside)
-        counts.append(_column_counts(inside))
-    return epsilon, *counts
+        np.less(dist, low, out=inside)
+        counts = _column_counts(inside)
+        if int16:
+            marginal, samples, partners = _band(dist, low, width, inside, offset)
+            cut = np.searchsorted(marginal, 1)  # the band holds the x entries first
+            near = np.concatenate([_exact_distances(z[:d_x], samples[:cut], partners[:cut], taken, other),
+                                   _exact_distances(z[d_x:], samples[cut:], partners[cut:], taken, other)])
+            inner = near < epsilon[samples]
+            counts += np.bincount(marginal[inner] * n + samples[inner], minlength=2 * n).reshape(2, n)
+        return epsilon, *counts
 
 
 def _pair_distances(d_x: int, dist: np.ndarray, features: np.ndarray, plane: np.ndarray,
@@ -395,44 +434,6 @@ def _pair_distances(d_x: int, dist: np.ndarray, features: np.ndarray, plane: np.
         wrapped[:, rest:] = top
         wrapped[:, :rest] = top[:, n - rest :]
         dist[m, half:] = skew
-
-
-def _certified_radii(dist: np.ndarray, z: np.ndarray, d_x: int, k: int, s: float,
-                     taken: np.ndarray, other: np.ndarray, joint: np.ndarray, part: np.ndarray,
-                     inside: np.ndarray, offset: np.ndarray):
-    """(epsilon, n_x, n_y) from the pair-once scan's int16 planes dist, quantized
-    from the features z in units of s, or None where the radius band is too
-    wide; the bands are derived in _pair_once_scan. The other arrays are
-    scratch: taken and other flat, with z's size, and the rest of the
-    planes' shapes, part transposed."""
-    n = z.shape[1]
-    np.maximum(dist[0], dist[1], out=joint)
-    # each sample's distances in one row: a partition down the columns took 70 against 50 us
-    part[...] = joint.T
-    part.partition(k - 1, axis=1)
-    low = part[:, k - 1] - 2
-    _, samples, partners = _band(joint[None], low, 4, inside[:1], offset[:1])
-    if samples.size > _INT16_BAND_ROWS * n:
-        return None
-    near = _exact_distances(z, samples, partners, taken, other)
-    # the band sorted by sample, then by distance; each sample's entries start at first
-    by_sample = np.bincount(samples, minlength=n)
-    first = np.cumsum(by_sample) - by_sample
-    below = np.count_nonzero(part[:, : k - 1] < low[:, None], axis=1)
-    epsilon = near[np.lexsort((near, samples))][first + k - 1 - below]
-
-    scaled = epsilon / s
-    low = np.ceil(scaled - (1 + 2.0**-30)).astype(np.int16)
-    width = (np.floor(scaled + (1 + 2.0**-30)) - low).astype(np.uint16)
-    np.less(dist, low, out=inside)
-    counts = _column_counts(inside)
-    marginal, samples, partners = _band(dist, low, width, inside, offset)
-    cut = np.searchsorted(marginal, 1)  # the band holds the x entries first
-    near = np.concatenate([_exact_distances(z[:d_x], samples[:cut], partners[:cut], taken, other),
-                           _exact_distances(z[d_x:], samples[cut:], partners[cut:], taken, other)])
-    inner = near < epsilon[samples]
-    counts += np.bincount(marginal[inner] * n + samples[inner], minlength=2 * n).reshape(2, n)
-    return epsilon, *counts
 
 
 def _band(planes: np.ndarray, low: np.ndarray, width, inside: np.ndarray, offset: np.ndarray):
@@ -479,27 +480,40 @@ def _carve(*layout):
     """Scratch arrays for layout, (shape, dtype) pairs, from this thread's buffer.
 
     The arrays lie end to end from the start of the buffer, each from an
-    _ALIGN-byte boundary, so none overlaps another; arrays of two calls
-    may overlap, and an array that leads both has the same place in each.
-    The buffer is kept between calls and grows to the largest layout its
-    thread has asked for: about 1.6 MiB at the pair-once scan's n = 256,
-    plus its D x 1.5n features. The arrays hold whatever an earlier call
-    left, so callers write before they read. Brute force and the sorted
-    window allocate per call instead: their scans run 30 ms to 8 s, and kept
-    planes would pin up to 8 * N doubles each.
+    _ALIGN-byte boundary, so none overlaps another. Arrays of two calls may
+    overlap, and the arrays that lead both have the same places in each,
+    unless the later call grew the buffer: the buffer is kept between calls
+    and grows to the largest layout its thread has asked for, so a caller
+    that overlays makes its largest layout its first call. The arrays hold
+    whatever an earlier call left, so callers write before they read.
+
+    The pair-once scan leads each call of a pass with z and dist. Its first
+    call adds the fold's scratch, plane and wrapped, and after them int16's
+    own arrays. Later calls carve part, and then inside, over plane and
+    wrapped, which hold at least as many bytes as part, and part at least
+    as many as inside. So z and dist keep their places and values, part and
+    inside overlap neither them nor int16's arrays, and neither call grows
+    the buffer. Kept buffer, in bytes: at n = 256, 1,895,424 after a float64
+    scan at D = 64 and 1,832,192 after an int16 scan at D = 128; at
+    n = 200, 1,291,520 after the scans of a Gaussian (dims 1-64) and a
+    Student-t (dims 1-32) sweep.
+
+    Brute force and the sorted window allocate per call instead: their
+    scans run 30 ms to 8 s, and kept planes would pin up to 8 * N doubles
+    each.
     """
-    spans, size = [], 0
+    starts, size = [], 0
     for shape, dtype in layout:
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        spans.append((size, nbytes, shape, dtype))
-        size += -(-nbytes // _ALIGN) * _ALIGN
+        starts.append(size)
+        size += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
     buffer = getattr(_scratch, "buffer", None)
     if buffer is None or buffer.size < size:
         _scratch.buffer = buffer = None  # freed before the larger one is taken
         raw = np.empty(size + _ALIGN, dtype=np.uint8)
         skip = -raw.ctypes.data % _ALIGN
         buffer = _scratch.buffer = raw[skip : skip + size]
-    return [buffer[at : at + nbytes].view(dtype).reshape(shape) for at, nbytes, shape, dtype in spans]
+    # the ndarray constructor took 0.36 against 0.64 us an array for slice, view and reshape
+    return [np.ndarray(shape, dtype, buffer, at) for (shape, dtype), at in zip(layout, starts)]
 
 
 def _fold_max(out: np.ndarray, plane: np.ndarray, pairs) -> None:

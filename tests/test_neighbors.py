@@ -88,19 +88,22 @@ def scans_for(data):
 
 
 def planes_taken(m):
-    """A list that each pair-once scan appends "int16" or "float64" to, by the planes that gave its result."""
-    taken, certified = [], neighbors._certified_radii
+    """A list that each pair-once scan appends "int16" or "float64" to, by the planes that gave its result.
 
-    def spy(*args):
-        found = certified(*args)
-        taken[-1] = "float64" if found is None else "int16"
-        return found
+    Those are the planes of its last fold: a scan that leaves int16 planes
+    folds again on float64 ones.
+    """
+    taken, fold = [], neighbors._pair_distances
+
+    def spy(d_x, dist, *args):
+        taken[-1] = dist.dtype.name
+        return fold(d_x, dist, *args)
 
     def scan(x, y, k, chosen=neighbors._pair_once_scan):
-        taken.append("float64")
+        taken.append(None)
         return chosen(x, y, k)
 
-    m.setattr(neighbors, "_certified_radii", spy)
+    m.setattr(neighbors, "_pair_distances", spy)
     m.setattr(neighbors, "_pair_once_scan", scan)
     return taken
 
@@ -613,6 +616,32 @@ def test_carved_arrays_are_aligned_and_disjoint():
     mine = [span(a) for a in first if a.nbytes]
     theirs = [span(a) for a in elsewhere if a.nbytes]
     assert all(end <= start or stop <= begin for begin, end in mine for start, stop in theirs)
+
+
+@pytest.mark.parametrize("planes, limit", [("float64", 1_895_424), ("int16", 1_962_240)])
+def test_pair_once_scratch_does_not_outgrow_its_layout(planes, limit, monkeypatch):
+    # the buffer a thread keeps after one scan at n = 256: float64 planes at
+    # D = 64 (Student-t nu = 0.5, which the tail rule keeps from int16) and
+    # int16 planes at D = 128 (Gaussian). The limits are the sizes before
+    # both plane types shared one pipeline; carving int16's own arrays for
+    # float64 planes too breaks the first
+    rng = np.random.default_rng(89)
+    joint = rng.standard_t(0.5, (256, 64)) if planes == "float64" else rng.normal(size=(256, 128))
+    d_x = joint.shape[1] // 2
+    data = Dataset(joint[:, :d_x], joint[:, d_x:])
+    taken = planes_taken(monkeypatch)
+    found = []
+
+    def scan():
+        found.append((compute_knn_radii(data, 5), neighbors._scratch.buffer.size))
+
+    thread = threading.Thread(target=scan)  # a fresh thread starts with no buffer
+    thread.start()
+    thread.join(timeout=60)
+    (rs, size), = found
+    assert_matches_oracle(rs, data, 5)
+    assert taken == [planes]
+    assert size <= limit
 
 
 FAULT_PROBE = """
